@@ -129,7 +129,10 @@ def _viewport(scene, args) -> tuple[int, int]:
         x0, y0, x1, y1 = bbox
         auto_w = max(1, math.ceil(x1 - x0 + 2 * _MARGIN))
         auto_h = max(1, math.ceil(y1 - y0 + 2 * _MARGIN))
-    return (args.width or auto_w, args.height or auto_h)
+    return (
+        auto_w if args.width is None else args.width,
+        auto_h if args.height is None else args.height,
+    )
 
 
 def _print_table(mv: Multivector) -> None:

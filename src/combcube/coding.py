@@ -30,6 +30,15 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _LATTICE_DIM = 3
 
 
+def _is_int(k) -> bool:
+    """The package's integer rule: any numbers.Integral except bool.
+
+    Plain ints are tested first: the abstract-class check costs about a
+    microsecond, and gates check their bits on every application.
+    """
+    return type(k) is int or (isinstance(k, numbers.Integral) and not isinstance(k, bool))
+
+
 def _as_bits(key, dim: int | None = None) -> tuple[int, ...]:
     """Normalize a bit-string key: "101", (1, 0, 1) and [1, 0, 1] all work."""
     if isinstance(key, str):
@@ -41,10 +50,7 @@ def _as_bits(key, dim: int | None = None) -> tuple[int, ...]:
             bits = tuple(key)
         except TypeError:
             raise ValueError(f"bit-string key must be a string or sequence, got {key!r}")
-        if not bits or any(
-            not isinstance(b, numbers.Integral) or isinstance(b, bool) or b not in (0, 1)
-            for b in bits
-        ):
+        if not bits or any(not _is_int(b) or b not in (0, 1) for b in bits):
             raise ValueError(f"bit values must be 0 or 1, got {key!r}")
         bits = tuple(int(b) for b in bits)
     if dim is not None and len(bits) != dim:
@@ -130,15 +136,13 @@ def bell_basis() -> tuple[Multivector, ...]:
 
 
 def _as_cell(cell) -> tuple[int, ...]:
-    if isinstance(cell, numbers.Integral) and not isinstance(cell, bool):
+    if _is_int(cell):
         return (int(cell),)
     try:
         parts = tuple(cell)
     except TypeError:
         raise ValueError(f"cell index must be an integer or a tuple, got {cell!r}")
-    if not 1 <= len(parts) <= 3 or any(
-        not isinstance(p, numbers.Integral) or isinstance(p, bool) for p in parts
-    ):
+    if not 1 <= len(parts) <= 3 or not all(_is_int(p) for p in parts):
         raise ValueError(f"cell index must hold 1 to 3 integers, got {cell!r}")
     return tuple(int(p) for p in parts)
 
@@ -211,6 +215,20 @@ def lattice_get(lat: LatticeMultivector, cell) -> Multivector:
 # significant digits so that every float64 survives a round trip.
 
 
+def _unique_keys(pairs) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate JSON key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def _load_json(text: str):
+    """json.loads, but a key repeated within one object is a ValueError."""
+    return json.loads(text, object_pairs_hook=_unique_keys)
+
+
 def _fmt_number(v: float) -> str:
     return format(float(v), ".17g")
 
@@ -222,7 +240,7 @@ def multivector_to_json(mv: Multivector) -> str:
 
 
 def multivector_from_json(text: str, dim: int | None = None) -> Multivector:
-    obj = json.loads(text)
+    obj = _load_json(text)
     if not isinstance(obj, dict):
         raise ValueError("coefficient table must be a JSON object")
     if not obj:
@@ -266,12 +284,14 @@ def lattice_to_json(lat: LatticeMultivector) -> str:
 
 
 def lattice_from_json(text: str) -> LatticeMultivector:
-    obj = json.loads(text)
+    obj = _load_json(text)
     if not isinstance(obj, dict):
         raise ValueError("lattice file must be a JSON object")
     cells = {}
     for key, table in obj.items():
         cell = key_to_cell(key)
+        if cell in cells:
+            raise ValueError(f"cell key {key!r} repeats cell {cell_to_key(cell)!r}")
         if not isinstance(table, dict):
             raise ValueError(f"cell {key!r} must map to a coefficient table")
         cells[cell] = encode(table, _LATTICE_DIM)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Multivector, geometric_product
-from .coding import LatticeMultivector, bell_carrier
+from .coding import LatticeMultivector, _is_int, _load_json, bell_carrier
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -42,11 +42,15 @@ class Gate:
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        if not isinstance(self.target, int) or self.target < 1:
+        if not _is_int(self.target) or self.target < 1:
             raise ValueError(f"target must be a positive integer, got {self.target!r}")
+        if type(self.target) is not int:  # store numpy integers as int
+            object.__setattr__(self, "target", int(self.target))
         if self.kind in _CONTROLLED:
-            if not isinstance(self.control, int) or self.control < 1:
+            if not _is_int(self.control) or self.control < 1:
                 raise ValueError(f"{self.kind} needs a positive control bit")
+            if type(self.control) is not int:
+                object.__setattr__(self, "control", int(self.control))
             if self.control == self.target:
                 raise ValueError("control and target bits must differ")
         elif self.control is not None:
@@ -81,9 +85,9 @@ class Circuit:
 
 
 def _check_bit(dim: int, k, role: str = "target") -> int:
-    if not isinstance(k, int) or not 1 <= k <= dim:
+    if not _is_int(k) or not 1 <= k <= dim:
         raise ValueError(f"{role} bit must be in [1, {dim}], got {k!r}")
-    return 1 << (k - 1)
+    return 1 << (int(k) - 1)
 
 
 def apply_x(mv: Multivector, k: int) -> Multivector:
@@ -209,7 +213,7 @@ def circuit_to_json(circuit) -> str:
 
 
 def circuit_from_json(text: str) -> Circuit:
-    obj = json.loads(text)
+    obj = _load_json(text)
     if not isinstance(obj, list):
         raise ValueError("circuit file must be a JSON list")
     gates = []

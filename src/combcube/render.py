@@ -18,7 +18,7 @@ emission is a single pass and byte-identical for identical inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping
 
 from .algebra import Multivector
@@ -103,6 +103,9 @@ class CubeStyle:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        for name in (f.name for f in fields(self) if f.name != "mode"):
+            if not math.isfinite(float(getattr(self, name))):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not 0.0 <= float(self.background) < 1.0:
             raise ValueError(f"background hue must lie in [0, 1), got {self.background!r}")
         if not 0.0 < float(self.foreshortening) <= 1.0:
@@ -245,8 +248,10 @@ def grid_placement(cells, spacing: float = 1.0) -> dict:
 
 def sine_warp(amplitude: float = 0.3, period: float = 4.0) -> Callable:
     """Vertical ripple running along x + y; geometry moves, colors do not."""
-    if period <= 0:
-        raise ValueError("period must be positive")
+    if not math.isfinite(amplitude):
+        raise ValueError(f"amplitude must be finite, got {amplitude!r}")
+    if not (math.isfinite(period) and period > 0):
+        raise ValueError(f"period must be positive and finite, got {period!r}")
 
     def deform(p):
         x, y, z = p

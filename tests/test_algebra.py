@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from combcube import algebra
 from combcube.algebra import (
     MAX_DIM,
     Multivector,
@@ -274,3 +275,53 @@ def test_repr_names_blades():
     mv = Multivector([0.6, 0, 0, 0, 0.8, 0, 0, 0], 3)
     assert "b3" in repr(mv)
     assert repr(Multivector.zero(3)).endswith("0)")
+
+
+def _oracle_product(a, b):
+    """Sum the symbolic blade products pair by pair, i-major then j-minor."""
+    out = np.zeros_like(a)
+    for i in np.flatnonzero(a):
+        for j in np.flatnonzero(b):
+            word, sign = reference_blade_product(int(i), int(j))
+            out[word] += sign * (a[i] * b[j])
+    return out
+
+
+# (dim, nnz(a), nnz(b)): every dimension from 1 to 12, a sparse Cl(16),
+# and a product with more pairs than one chunk of the fast path holds
+ORACLE_CASES = [(dim, min(1 << dim, 24), min(1 << dim, 20)) for dim in range(1, 13)]
+ORACLE_CASES += [(16, 40, 30), (9, 300, 120)]
+
+
+@pytest.mark.parametrize("dim, nnz_a, nnz_b", ORACLE_CASES)
+def test_geometric_product_matches_symbolic_oracle_exactly(dim, nnz_a, nnz_b):
+    rng = np.random.default_rng(100 + dim)
+    a, b = np.zeros(1 << dim), np.zeros(1 << dim)
+    for coeffs, nnz in ((a, nnz_a), (b, nnz_b)):
+        coeffs[rng.choice(coeffs.size, nnz, replace=False)] = rng.normal(size=nnz)
+    got = geometric_product(Multivector(a, dim), Multivector(b, dim))
+    assert np.array_equal(got.coeffs, _oracle_product(a, b))
+
+
+def test_oracle_cases_reach_every_path_of_the_product():
+    dims = {dim for dim, _, _ in ORACLE_CASES}
+    assert min(dims) <= algebra._ALL_PAIRS_MAX_DIM < max(dims)
+    assert any(
+        dim > algebra._ALL_PAIRS_MAX_DIM and nnz_a * nnz_b > algebra._CHUNK_PAIRS
+        for dim, nnz_a, nnz_b in ORACLE_CASES
+    )
+
+
+def test_product_with_a_row_longer_than_a_chunk():
+    # one blade against more nonzero columns than a chunk holds: each
+    # output word gets exactly one term, so sampled words check it exactly
+    dim, word = 16, 0b1010011100101101
+    rng = np.random.default_rng(16)
+    nnz = algebra._CHUNK_PAIRS + 1000
+    b = np.zeros(1 << dim)
+    b[rng.choice(b.size, nnz, replace=False)] = rng.normal(size=nnz)
+    got = geometric_product(Multivector.blade(word, dim, 1.5), Multivector(b, dim)).coeffs
+    assert np.count_nonzero(got) == nnz
+    for j in rng.choice(np.flatnonzero(b), 300, replace=False):
+        target, sign = reference_blade_product(word, int(j))
+        assert got[target] == sign * (1.5 * b[j])

@@ -176,3 +176,15 @@ def test_missing_subcommand_and_args():
 
 def test_parser_prog_name():
     assert build_parser().prog == "combcube"
+
+
+@pytest.mark.parametrize("flags", [
+    ["--width", "0"], ["--height", "0"], ["--width", "-5"], ["--angle", "nan"],
+])
+def test_render_rejects_bad_viewport_and_style_flags(tmp_path, capsys, flags):
+    src = tmp_path / "table.json"
+    src.write_text(EXAMPLE_JSON)
+    dst = tmp_path / "cube.svg"
+    assert run(["render", str(src), "--output", str(dst), *flags]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not dst.exists()

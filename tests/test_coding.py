@@ -227,3 +227,17 @@ def test_lattice_json_validation():
         lattice_from_json('{"1,2": [1]}')
     with pytest.raises(ValueError):
         lattice_from_json('{"1,2,3,4": {}}')
+
+
+def test_multivector_json_rejects_duplicate_keys():
+    with pytest.raises(ValueError, match="duplicate"):
+        multivector_from_json('{"000": 1, "000": 5}')
+
+
+def test_lattice_json_rejects_duplicate_cells():
+    with pytest.raises(ValueError, match="duplicate"):
+        lattice_from_json('{"0,0": {"000": 1}, "0,0": {"000": 2}}')
+    with pytest.raises(ValueError, match="duplicate"):
+        lattice_from_json('{"0,0": {"000": 1, "000": 2}}')
+    with pytest.raises(ValueError, match="repeats cell"):
+        lattice_from_json('{"0,0": {"000": 1}, "0, 0": {"000": 2}}')

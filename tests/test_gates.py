@@ -313,3 +313,25 @@ def test_circuit_json_validation():
         circuit_from_json('[{"kind": "X", "target": 1, "extra": 2}]')
     with pytest.raises(ValueError):
         circuit_from_json('[{"kind": "CX", "target": 2}]')
+
+
+def test_bit_rule_is_integral_but_not_bool():
+    # numpy integers are accepted and stored as int; bools are rejected
+    assert Gate("X", np.int64(1)) == Gate("X", 1)
+    assert type(Gate("CX", np.int64(2), np.int64(1)).control) is int
+    assert apply_x(Multivector.blade(0, 3), np.int64(2)) == Multivector.blade(0b010, 3)
+    with pytest.raises(ValueError):
+        Gate("X", True)
+    with pytest.raises(ValueError):
+        Gate("CZ", 2, True)
+    with pytest.raises(ValueError):
+        apply_x(Multivector.zero(3), True)
+    with pytest.raises(ValueError):
+        apply_cz(Multivector.zero(3), 2, True)
+    with pytest.raises(ValueError):
+        circuit_from_json('[{"kind": "X", "target": true}]')
+
+
+def test_circuit_json_rejects_duplicate_keys():
+    with pytest.raises(ValueError, match="duplicate"):
+        circuit_from_json('[{"kind": "X", "kind": "Z", "target": 1}]')

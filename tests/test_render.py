@@ -319,3 +319,24 @@ def test_scene_bbox():
         ),
     )
     assert scene_bbox(scene) == (-5.0, -20.0, 30.0, 5.0)
+
+
+@pytest.mark.parametrize("field", [
+    "background", "angle_deg", "foreshortening", "edge", "stroke_width",
+    "corner_radius", "wall_opacity", "interior_opacity",
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_style_rejects_non_finite_numbers(field, value):
+    with pytest.raises(ValueError, match=field):
+        CubeStyle(**{field: value})
+
+
+def test_sine_warp_rejects_non_finite_parameters():
+    with pytest.raises(ValueError, match="amplitude"):
+        sine_warp(amplitude=math.nan)
+    with pytest.raises(ValueError, match="amplitude"):
+        sine_warp(amplitude=math.inf)
+    with pytest.raises(ValueError, match="period"):
+        sine_warp(period=math.nan)
+    with pytest.raises(ValueError, match="period"):
+        sine_warp(period=math.inf)
