@@ -31,9 +31,20 @@ MAX_DIM = 16
 _ALL_PAIRS_MAX_DIM = 5
 _CHUNK_PAIRS = 1 << 15  # most pairs per step, unless one row has more
 
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def _is_int(k) -> bool:
+    """The package's integer rule: any numbers.Integral except bool.
+
+    Plain ints are tested first: the abstract-class check costs about a
+    microsecond, and every Multivector and gate checks an integer.
+    """
+    return type(k) is int or (isinstance(k, numbers.Integral) and not isinstance(k, bool))
+
 
 def _check_dim(dim) -> None:
-    if not isinstance(dim, numbers.Integral) or isinstance(dim, bool):
+    if not _is_int(dim):
         raise ValueError(f"dimension must be an integer, got {dim!r}")
     if not 1 <= dim <= MAX_DIM:
         raise ValueError(f"dimension must be in [1, {MAX_DIM}], got {dim}")
@@ -67,9 +78,9 @@ class Multivector:
     def __init__(self, coeffs, dim: int | None = None):
         arr = np.array(coeffs, dtype=np.float64).reshape(-1)
         if dim is None:
-            dim = int(arr.size).bit_length() - 1
-            if arr.size != (1 << dim):
+            if arr.size == 0 or arr.size & (arr.size - 1):
                 raise ValueError(f"coefficient count must be a power of two, got {arr.size}")
+            dim = arr.size.bit_length() - 1
         _check_dim(dim)
         if arr.size != (1 << dim):
             raise ValueError(f"expected {1 << dim} coefficients for Cl({dim}), got {arr.size}")
@@ -264,7 +275,7 @@ def grade_projection(a: Multivector, g: int) -> Multivector:
     """Keep only the coefficients of blades with exactly g generators."""
     if not isinstance(a, Multivector):
         raise TypeError("expected a Multivector")
-    if not isinstance(g, numbers.Integral) or isinstance(g, bool):
+    if not _is_int(g):
         raise ValueError(f"grade must be an integer, got {g!r}")
     if not 0 <= g <= a.dim:
         raise ValueError(f"grade must be in [0, {a.dim}], got {g}")

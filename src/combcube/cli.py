@@ -24,6 +24,7 @@ import numpy as np
 
 from .algebra import Multivector
 from .coding import (
+    _fmt_number,
     bits_to_key,
     decode,
     lattice_from_json,
@@ -50,10 +51,6 @@ from .statevector import (
 )
 
 _MARGIN = 20.0
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -137,7 +134,7 @@ def _viewport(scene, args) -> tuple[int, int]:
 
 def _print_table(mv: Multivector) -> None:
     for key, value in sorted((bits_to_key(bits), v) for bits, v in decode(mv).items()):
-        print(f"{key}  {_fmt(value)}")
+        print(f"{key}  {_fmt_number(value)}")
 
 
 def _cmd_teleport(args) -> int:
@@ -172,10 +169,10 @@ def _cmd_lattice_render(args) -> int:
 def _cmd_color(args) -> int:
     if args.x is not None:
         nu = nu_of_x(args.x)
-        print(f"nu = {_fmt(nu)}")
+        print(f"nu = {_fmt_number(nu)}")
         print(f"rgb = {rgb_to_hex(hue_to_rgb(nu))}")
     else:
-        print(f"x = {_fmt(x_of_nu(args.nu))}")
+        print(f"x = {_fmt_number(x_of_nu(args.nu))}")
     return 0
 
 

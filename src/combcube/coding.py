@@ -17,26 +17,14 @@ keyed by integer cell indices.
 from __future__ import annotations
 
 import json
-import math
 import numbers
 from typing import Mapping
 
 import numpy as np
 
-from .algebra import Multivector, _check_dim
-
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+from .algebra import _INV_SQRT2, Multivector, _check_dim, _is_int
 
 _LATTICE_DIM = 3
-
-
-def _is_int(k) -> bool:
-    """The package's integer rule: any numbers.Integral except bool.
-
-    Plain ints are tested first: the abstract-class check costs about a
-    microsecond, and gates check their bits on every application.
-    """
-    return type(k) is int or (isinstance(k, numbers.Integral) and not isinstance(k, bool))
 
 
 def _as_bits(key, dim: int | None = None) -> tuple[int, ...]:
@@ -151,16 +139,22 @@ class LatticeMultivector:
     """Immutable sparse map from cell index to a dim-3 multivector.
 
     Cells not present read as the zero multivector; updates return a
-    new lattice and leave the original untouched.
+    new lattice and leave the original untouched.  Two cells that are
+    equal after zero-padding to three indices, such as (0, 0) and
+    (0, 0, 0), would be drawn at one place, so they are an error.
     """
 
     __slots__ = ("_cells",)
 
     def __init__(self, cells: Mapping | None = None):
         stored: dict[tuple[int, ...], Multivector] = {}
+        padded: dict[tuple[int, ...], tuple[int, ...]] = {}
         if cells is not None:
             for cell, mv in cells.items():
                 key = _as_cell(cell)
+                other = padded.setdefault(key + (0,) * (3 - len(key)), key)
+                if other is not key:
+                    raise ValueError(f"cells {other} and {key} are the same cell")
                 if not isinstance(mv, Multivector):
                     raise TypeError(f"cell {key} value must be a Multivector")
                 if mv.dim != _LATTICE_DIM:

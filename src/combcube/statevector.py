@@ -13,14 +13,10 @@ not tautology.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .algebra import Multivector
+from .algebra import _INV_SQRT2, Multivector
 from .gates import Gate, teleport_network
-
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 _MATRICES = {
     "X": ((0.0, 1.0), (1.0, 0.0)),

@@ -103,6 +103,22 @@ def test_multivector_construction():
         Multivector(np.zeros(1 << 17))
 
 
+def test_empty_coefficients_name_the_count():
+    with pytest.raises(ValueError, match="power of two, got 0"):
+        Multivector([])
+
+
+def test_integer_rule_for_dimensions_and_grades():
+    # numpy integers count as integers; bools and floats do not
+    assert Multivector.zero(np.int64(3)).dim == 3
+    assert grade_projection(Multivector.zero(3), np.int64(1)) == Multivector.zero(3)
+    for bad in (True, 3.0):
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            Multivector.zero(bad)
+        with pytest.raises(ValueError, match="grade must be an integer"):
+            grade_projection(Multivector.zero(3), bad)
+
+
 def test_multivector_is_immutable():
     mv = Multivector.scalar(2.0, 3)
     with pytest.raises(ValueError):

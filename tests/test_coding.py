@@ -176,6 +176,20 @@ def test_lattice_rejects_bad_cells_and_values():
         LatticeMultivector({(0,): 1.0})
 
 
+def test_lattice_rejects_cells_that_coincide_after_padding():
+    mv = Multivector.scalar(1.0, 3)
+    with pytest.raises(ValueError, match=r"cells \(0, 0\) and \(0, 0, 0\)"):
+        LatticeMultivector({(0, 0): mv, (0, 0, 0): mv})
+    with pytest.raises(ValueError, match=r"cells \(2,\) and \(2, 0\)"):
+        LatticeMultivector({2: mv, (2, 0): mv})
+    with pytest.raises(ValueError, match="same cell"):
+        LatticeMultivector({(1, 0): mv}).set((1, 0, 0), mv)
+    with pytest.raises(ValueError, match=r"cells \(0, 0\) and \(0, 0, 0\)"):
+        lattice_from_json('{"0,0": {"000": 1}, "0,0,0": {"000": 2}}')
+    # distinct cells of different lengths are fine
+    assert len(LatticeMultivector({(0, 0): mv, (0, 0, 1): mv, (1,): mv})) == 3
+
+
 def test_lattice_set_order_does_not_matter():
     a = encode({"000": 1.0}, 3)
     b = encode({"111": -2.0}, 3)

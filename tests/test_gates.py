@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from combcube.algebra import Multivector, geometric_product
 from combcube.coding import bell_carrier, comb, encode, LatticeMultivector
 from combcube.gates import (
+    GATE_KINDS,
     Circuit,
     Gate,
     apply_circuit,
@@ -30,6 +31,7 @@ from combcube.gates import (
     teleport,
     teleport_network,
 )
+from combcube.statevector import StateVector, sv_apply_circuit
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -335,3 +337,97 @@ def test_bit_rule_is_integral_but_not_bool():
 def test_circuit_json_rejects_duplicate_keys():
     with pytest.raises(ValueError, match="duplicate"):
         circuit_from_json('[{"kind": "X", "kind": "Z", "target": 1}]')
+
+
+def _random_gates(rng, dim, length, kinds=GATE_KINDS):
+    gates = []
+    for _ in range(length):
+        kind = kinds[int(rng.integers(len(kinds)))]
+        bits = [int(b) + 1 for b in rng.permutation(dim)[:2]]
+        if len(bits) == 1:  # Cl(1) has no room for a control bit
+            kind = kind[-1]
+        gates.append(Gate(kind, bits[0], bits[-1] if kind in ("CX", "CZ") else None))
+    return gates
+
+
+@pytest.mark.parametrize("dim", range(1, 13))
+def test_signed_permutation_circuits_equal_the_oracle_exactly(dim):
+    # 0*a0 + 1*a1 in the oracle is exact for finite values, so runs of
+    # X, Z, CX and CZ, however they are composed, must agree to the bit
+    rng = np.random.default_rng(1000 + dim)
+    for length in (1, 2, 5, 12):
+        circuit = _random_gates(rng, dim, length, kinds=("X", "Z", "CX", "CZ"))
+        coeffs = rng.normal(size=1 << dim)
+        fast = apply_circuit(circuit, Multivector(coeffs, dim))
+        oracle = sv_apply_circuit(circuit, StateVector(coeffs, dim))
+        assert np.array_equal(fast.coeffs, oracle.amps), [g.label() for g in circuit]
+
+
+@pytest.mark.parametrize("dim", [1, 3, 6])
+def test_circuits_with_h_agree_with_the_oracle(dim):
+    rng = np.random.default_rng(2000 + dim)
+    for length in (1, 3, 8, 20):
+        circuit = _random_gates(rng, dim, length)
+        coeffs = rng.normal(size=1 << dim)
+        fast = apply_circuit(circuit, Multivector(coeffs, dim))
+        oracle = sv_apply_circuit(circuit, StateVector(coeffs, dim))
+        assert np.max(np.abs(fast.coeffs - oracle.amps)) <= 1e-12
+
+
+def test_gates_that_cancel_leave_the_state_unchanged():
+    state = Multivector(np.arange(1.0, 9.0), 3)
+    for circuit in ([Gate("X", 1), Gate("X", 1)], [Gate("CZ", 3, 1), Gate("CZ", 3, 1)],
+                    [Gate("CX", 2, 3), Gate("Z", 1), Gate("CX", 2, 3), Gate("Z", 1)]):
+        assert apply_circuit(circuit, state) == state
+
+
+def test_overflow_inside_a_circuit_is_rejected():
+    # H_1 twice is the identity, but the first H overflows to inf
+    big = Multivector([1e308, 1e308, 0, 0, 0, 0, 0, 0], 3)
+    circuit = [Gate("H", 1), Gate("X", 2), Gate("H", 1)]
+    lat = LatticeMultivector({(0,): Multivector.scalar(1.0, 3), (1,): big})
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            apply_circuit(circuit, big)
+        with pytest.raises(ValueError, match="finite"):
+            apply_circuit_lattice(circuit, lat)
+
+
+def test_empty_lattice_and_empty_circuit():
+    empty = LatticeMultivector()
+    out = apply_circuit_lattice(teleport_network(), empty)
+    assert isinstance(out, LatticeMultivector) and len(out) == 0
+    # the circuit is checked even when there is no cell to apply it to
+    with pytest.raises(ValueError, match="target bit must be in"):
+        apply_circuit_lattice([Gate("X", 4)], empty)
+    with pytest.raises(TypeError, match="expected a Gate"):
+        apply_circuit_lattice(["X1"], empty)
+    lat = LatticeMultivector({(0, 1): Multivector(np.arange(8.0), 3)})
+    assert apply_circuit_lattice([], lat) == lat
+
+
+def test_single_gate_errors_are_unchanged():
+    mv = Multivector.zero(3)
+    cases = [
+        (lambda: apply_x(mv, 0), "target bit must be in [1, 3], got 0"),
+        (lambda: apply_h(mv, 4), "target bit must be in [1, 3], got 4"),
+        (lambda: apply_z(mv, 1.0), "target bit must be in [1, 3], got 1.0"),
+        (lambda: apply_cx(mv, 2, 9), "control bit must be in [1, 3], got 9"),
+        (lambda: apply_cz(mv, 4, 9), "target bit must be in [1, 3], got 4"),
+        (lambda: apply_cx(mv, 2, 2), "control and target bits must differ"),
+        (lambda: apply_cz(mv, 1, 1), "control and target bits must differ"),
+    ]
+    for call, message in cases:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+    with pytest.raises(TypeError, match="expected a Gate"):
+        apply_gate(mv, ("X", 1))
+    with pytest.raises(TypeError, match="expected a Gate"):
+        apply_circuit([Gate("X", 1), "H2"], mv)
+
+
+def test_teleport_network_is_one_frozen_circuit():
+    assert teleport_network() is teleport_network()
+    with pytest.raises(AttributeError):
+        teleport_network().gates = ()
