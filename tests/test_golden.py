@@ -8,8 +8,10 @@ golden is one .npy array of shape (3, 2**dim): the two operands and
 their product.  The circuit golden is an array of shape (2, 2**10): a
 seeded Cl(10) state and a seeded 20-gate circuit applied to it.  The
 lattice goldens are the teleport network applied to a seeded 8x8
-lattice, written as lattice JSON, and the warped ``lattice-render`` SVG
-of that same seeded lattice.
+lattice, written as lattice JSON, and three ``lattice-render`` SVGs of
+that same seeded lattice (warped, flat, and flat in representative
+mode).  The ``render`` goldens draw the README example table in both
+modes and once with every geometry flag off its default.
 
 To rewrite the goldens at a commit whose outputs are trusted, run
 ``PYTHONPATH=src python tests/test_golden.py`` from the repository root.
@@ -55,6 +57,26 @@ CIRCUIT_GOLDEN = "circuit_dim10_20gates.npy"
 LATTICE_JSON_GOLDEN = "lattice_8x8_teleported.json"
 LATTICE_SVG_GOLDEN = "lattice_8x8_warped.svg"
 
+# the README example table, input of every ``render`` golden
+README_TABLE = (
+    '{"000": -0.07, "100": 0.32, "010": -3.08, "001": 1.06, '
+    '"110": -0.85, "101": 0.27, "011": -0.86, "111": 4.07}'
+)
+
+# (subcommand, extra argv) of each SVG golden, by file name; ``render``
+# reads README_TABLE and ``lattice-render`` the seeded 8x8 lattice
+SVG_CASES = {
+    LATTICE_SVG_GOLDEN: ("lattice-render", ["--deformation", "sine-warp"]),
+    "lattice_8x8_flat.svg": ("lattice-render", []),
+    "lattice_8x8_representative.svg": ("lattice-render", ["--mode", "representative"]),
+    "readme_table_redundant.svg": ("render", []),
+    "readme_table_representative.svg": ("render", ["--mode", "representative"]),
+    "readme_table_styled.svg": ("render", [
+        "--angle", "40", "--foreshortening", "0.7", "--edge", "60",
+        "--stroke-width", "1.5", "--corner-radius", "2.5",
+    ]),
+}
+
 
 def _product(a, b):
     dim = a.size.bit_length() - 1
@@ -88,12 +110,12 @@ def _lattice_json() -> str:
     return lattice_to_json(apply_circuit_lattice(teleport_network(), _seeded_lattice()))
 
 
-def _lattice_svg(tmp: Path) -> str:
-    src, out = tmp / "lattice.json", tmp / "lattice.svg"
-    src.write_text(lattice_to_json(_seeded_lattice()))
+def _svg(name: str, tmp: Path) -> str:
+    command, extra = SVG_CASES[name]
+    src, out = tmp / "input.json", tmp / "output.svg"
+    src.write_text(README_TABLE if command == "render" else lattice_to_json(_seeded_lattice()))
     with contextlib.redirect_stdout(io.StringIO()):
-        assert run(["lattice-render", str(src), "--output", str(out),
-                    "--deformation", "sine-warp"]) == 0
+        assert run([command, str(src), "--output", str(out), *extra]) == 0
     return out.read_text()
 
 
@@ -119,7 +141,12 @@ def test_lattice_json_matches_golden():
 
 
 def test_lattice_svg_matches_golden(tmp_path):
-    assert _lattice_svg(tmp_path) == (GOLDEN / LATTICE_SVG_GOLDEN).read_text()
+    assert _svg(LATTICE_SVG_GOLDEN, tmp_path) == (GOLDEN / LATTICE_SVG_GOLDEN).read_text()
+
+
+@pytest.mark.parametrize("name", sorted(set(SVG_CASES) - {LATTICE_SVG_GOLDEN}))
+def test_svg_matches_golden(name, tmp_path):
+    assert _svg(name, tmp_path) == (GOLDEN / name).read_text()
 
 
 def _write_goldens() -> None:
@@ -137,7 +164,8 @@ def _write_goldens() -> None:
     np.save(GOLDEN / CIRCUIT_GOLDEN, _circuit_case())
     (GOLDEN / LATTICE_JSON_GOLDEN).write_text(_lattice_json())
     with tempfile.TemporaryDirectory() as tmp:
-        (GOLDEN / LATTICE_SVG_GOLDEN).write_text(_lattice_svg(Path(tmp)))
+        for name in SVG_CASES:
+            (GOLDEN / name).write_text(_svg(name, Path(tmp)))
 
 
 if __name__ == "__main__":
