@@ -6,9 +6,13 @@ Subcommands: ``teleport`` prints the teleported coefficient table,
 simulator and the algebra and color invariants, and ``color``
 evaluates the value-to-hue map either way.
 
+With ``--timings`` the two render commands also print to stderr the
+seconds spent reading, parsing, building the scene, emitting and
+writing, and the counts of cells, primitives and bytes.
+
 Exit codes: 0 on success, 1 when verification fails, 2 on usage
 errors (bad flags, unreadable input, out-of-domain values).  All
-numeric output is printed with 17 significant digits.  The only
+numeric stdout is printed with 17 significant digits.  The only
 randomness lives in ``verify`` and comes from numpy's seeded
 default_rng (PCG64), so runs are reproducible by seed.
 """
@@ -18,6 +22,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -69,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="render a coefficient table as a colored cube")
     p.add_argument("input", type=Path, help="coefficient table JSON")
     p.add_argument("--output", type=Path, required=True, help="SVG file to write")
-    _add_style_flags(p)
+    _add_render_flags(p)
     p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("lattice-render", help="render a lattice file as colored cubes")
@@ -77,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", type=Path, required=True, help="SVG file to write")
     p.add_argument("--placement", choices=("grid",), default="grid")
     p.add_argument("--deformation", choices=("none", "sine-warp"), default="none")
-    _add_style_flags(p)
+    _add_render_flags(p)
     p.set_defaults(func=_cmd_lattice_render)
 
     p = sub.add_parser("verify", help="run the cross-engine and invariant checks")
@@ -94,7 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_style_flags(p: argparse.ArgumentParser) -> None:
+def _add_render_flags(p: argparse.ArgumentParser) -> None:
+    """Style, viewport and --timings flags shared by both render commands."""
     p.add_argument("--mode", choices=("redundant", "representative"), default="redundant")
     p.add_argument("--background", type=float, default=0.75, help="backdrop hue in [0, 1)")
     p.add_argument("--angle", type=float, default=30.0, help="receding-axis angle, degrees")
@@ -104,6 +110,8 @@ def _add_style_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corner-radius", type=float, default=5.0)
     p.add_argument("--width", type=int, help="viewport width (default: fit contents)")
     p.add_argument("--height", type=int, help="viewport height (default: fit contents)")
+    p.add_argument("--timings", action="store_true",
+                   help="print seconds per stage and counts to stderr")
 
 
 def _style_from_args(args) -> CubeStyle:
@@ -146,24 +154,59 @@ def _cmd_teleport(args) -> int:
     return 0
 
 
-def _cmd_render(args) -> int:
-    mv = multivector_from_json(args.input.read_text())
-    scene = cube_scene(mv, _style_from_args(args))
-    width, height = _viewport(scene, args)
-    args.output.write_text(emit_svg(scene, width, height))
+class _StageClock:
+    """Seconds spent in each stage of a command, in the order they ran."""
+
+    def __init__(self):
+        self.seconds: dict[str, float] = {}
+        self._last = time.perf_counter()
+
+    def lap(self, stage: str) -> None:
+        now = time.perf_counter()
+        self.seconds[stage] = now - self._last
+        self._last = now
+
+
+def _write_svg(args, clock: _StageClock, scene, cells: int) -> int:
+    """Emit and write a scene just built; with --timings, report to stderr.
+
+    The clock's scene stage ends on entry, so it covers everything after
+    parsing: placement, deformation and the scene itself.
+    """
+    clock.lap("scene")
+    svg = emit_svg(scene, *_viewport(scene, args))
+    clock.lap("emit")
+    args.output.write_text(svg)
+    clock.lap("write")
     print(f"wrote {args.output}")
+    if args.timings:
+        for stage, seconds in clock.seconds.items():
+            print(f"{stage:<10} {seconds:.6f} s", file=sys.stderr)
+        for name, count in (("cells", cells), ("primitives", len(scene.elements)),
+                            ("bytes", len(svg.encode()))):
+            print(f"{name:<10} {count}", file=sys.stderr)
     return 0
+
+
+def _cmd_render(args) -> int:
+    clock = _StageClock()
+    text = args.input.read_text()
+    clock.lap("read")
+    mv = multivector_from_json(text)
+    clock.lap("parse")
+    return _write_svg(args, clock, cube_scene(mv, _style_from_args(args)), 1)
 
 
 def _cmd_lattice_render(args) -> int:
-    lat = lattice_from_json(args.input.read_text())
+    clock = _StageClock()
+    text = args.input.read_text()
+    clock.lap("read")
+    lat = lattice_from_json(text)
+    clock.lap("parse")
     deformation = sine_warp() if args.deformation == "sine-warp" else None
     placement = grid_placement(lat.cell_indices())
     scene = lattice_scene(lat, _style_from_args(args), placement, deformation)
-    width, height = _viewport(scene, args)
-    args.output.write_text(emit_svg(scene, width, height))
-    print(f"wrote {args.output}")
-    return 0
+    return _write_svg(args, clock, scene, len(lat))
 
 
 def _cmd_color(args) -> int:

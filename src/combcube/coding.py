@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import numbers
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -68,6 +69,25 @@ def bits_to_key(bits) -> str:
     return "".join(str(b) for b in _as_bits(bits))
 
 
+def _is_real(v) -> bool:
+    """Any numbers.Real except bool; plain floats skip the abstract-class check."""
+    return type(v) is float or (isinstance(v, numbers.Real) and not isinstance(v, bool))
+
+
+def _word_key(word: int, dim: int) -> str:
+    """Canonical key of a blade word: its dim bits, lowest first."""
+    return format(word, f"0{dim}b")[::-1]
+
+
+@lru_cache(maxsize=None)
+def _key_words(dim: int) -> dict[str, int]:
+    """Canonical key -> blade word for every comb of Cl(dim), in key order.
+
+    Shared by every caller, so it must not be mutated.
+    """
+    return dict(sorted((_word_key(word, dim), word) for word in range(1 << dim)))
+
+
 def encode(table: Mapping, dim: int) -> Multivector:
     """Build the multivector whose comb coefficients are given by ``table``.
 
@@ -76,16 +96,19 @@ def encode(table: Mapping, dim: int) -> Multivector:
     comb, is an error.
     """
     _check_dim(dim)
+    words = _key_words(dim)
     coeffs = np.zeros(1 << dim)
     seen = set()
     for key, value in table.items():
-        bits = _as_bits(key, dim)
-        if bits in seen:
-            raise ValueError(f"duplicate comb key {bits_to_key(bits)!r}")
-        seen.add(bits)
-        if not isinstance(value, numbers.Real) or isinstance(value, bool):
-            raise ValueError(f"coefficient for {bits_to_key(bits)!r} must be a real number")
-        coeffs[comb(bits)] = float(value)
+        word = words.get(key) if isinstance(key, str) else None
+        if word is None:
+            word = comb(_as_bits(key, dim))
+        if word in seen:
+            raise ValueError(f"duplicate comb key {_word_key(word, dim)!r}")
+        seen.add(word)
+        if not _is_real(value):
+            raise ValueError(f"coefficient for {_word_key(word, dim)!r} must be a real number")
+        coeffs[word] = float(value)
     return Multivector(coeffs, dim)
 
 
@@ -135,13 +158,19 @@ def _as_cell(cell) -> tuple[int, ...]:
     return tuple(int(p) for p in parts)
 
 
+def _padded(cell: tuple[int, ...]) -> tuple[int, int, int]:
+    return cell + (0,) * (3 - len(cell))
+
+
 class LatticeMultivector:
     """Immutable sparse map from cell index to a dim-3 multivector.
 
     Cells not present read as the zero multivector; updates return a
     new lattice and leave the original untouched.  Two cells that are
     equal after zero-padding to three indices, such as (0, 0) and
-    (0, 0, 0), would be drawn at one place, so they are an error.
+    (0, 0, 0), would be drawn at one place, so they are an error, and
+    lookups pad the same way: on a lattice holding (0, 0), ``get`` and
+    ``in`` find it as (0, 0, 0) too.
     """
 
     __slots__ = ("_cells",)
@@ -152,7 +181,7 @@ class LatticeMultivector:
         if cells is not None:
             for cell, mv in cells.items():
                 key = _as_cell(cell)
-                other = padded.setdefault(key + (0,) * (3 - len(key)), key)
+                other = padded.setdefault(_padded(key), key)
                 if other is not key:
                     raise ValueError(f"cells {other} and {key} are the same cell")
                 if not isinstance(mv, Multivector):
@@ -170,8 +199,17 @@ class LatticeMultivector:
     def items(self) -> tuple[tuple[tuple[int, ...], Multivector], ...]:
         return tuple(sorted(self._cells.items()))
 
+    def _stored(self, cell):
+        """The stored index equal to ``cell`` after zero-padding, or None."""
+        padded = _padded(_as_cell(cell))
+        for n in (1, 2, 3):
+            if padded[:n] in self._cells and not any(padded[n:]):
+                return padded[:n]
+        return None
+
     def get(self, cell) -> Multivector:
-        return self._cells.get(_as_cell(cell), Multivector.zero(_LATTICE_DIM))
+        key = self._stored(cell)
+        return Multivector.zero(_LATTICE_DIM) if key is None else self._cells[key]
 
     def set(self, cell, mv: Multivector) -> "LatticeMultivector":
         updated = dict(self._cells)
@@ -182,7 +220,7 @@ class LatticeMultivector:
         return len(self._cells)
 
     def __contains__(self, cell) -> bool:
-        return _as_cell(cell) in self._cells
+        return self._stored(cell) is not None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LatticeMultivector):
@@ -227,10 +265,19 @@ def _fmt_number(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def _table_body(mv: Multivector, indent: str) -> str:
+    """The lines of a coefficient table, in key order, without braces."""
+    coeffs = mv.coeffs.tolist()
+    return ",\n".join([
+        f'{indent}"{key}": {_fmt_number(coeffs[word])}'
+        for key, word in _key_words(mv.dim).items()
+    ])
+
+
 def multivector_to_json(mv: Multivector) -> str:
-    items = sorted((bits_to_key(bits), value) for bits, value in decode(mv).items())
-    lines = [f'  "{key}": {_fmt_number(value)}' for key, value in items]
-    return "{\n" + ",\n".join(lines) + "\n}\n"
+    if not isinstance(mv, Multivector):
+        raise TypeError("expected a Multivector")
+    return "{\n" + _table_body(mv, "  ") + "\n}\n"
 
 
 def multivector_from_json(text: str, dim: int | None = None) -> Multivector:
@@ -269,11 +316,10 @@ def lattice_to_json(lat: LatticeMultivector) -> str:
         raise TypeError("expected a LatticeMultivector")
     if len(lat) == 0:
         return "{}\n"
-    blocks = []
-    for cell, mv in lat.items():
-        table = multivector_to_json(mv).strip()
-        indented = "\n".join("  " + line for line in table.splitlines())
-        blocks.append(f'  "{cell_to_key(cell)}": {indented.lstrip()}')
+    blocks = [
+        f'  "{cell_to_key(cell)}": {{\n{_table_body(mv, "    ")}\n  }}'
+        for cell, mv in lat.items()
+    ]
     return "{\n" + ",\n".join(blocks) + "\n}\n"
 
 

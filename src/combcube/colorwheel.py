@@ -100,12 +100,19 @@ def hue_to_rgb(nu: float) -> RgbColor:
     return RgbColor(1.0, 0.0, ramp)
 
 
+# two uppercase hex digits for each 8-bit channel value
+_HEX_BYTE = tuple(f"{i:02X}" for i in range(256))
+
+
 def rgb_to_hex(color) -> str:
     """8-bit #RRGGBB form, channels scaled by 255 and rounded half up."""
     r, g, b = color
-    return "#{:02X}{:02X}{:02X}".format(_channel(r), _channel(g), _channel(b))
+    return "#" + _HEX_BYTE[_channel(r)] + _HEX_BYTE[_channel(g)] + _HEX_BYTE[_channel(b)]
 
 
-def _channel(v: float) -> int:
-    v = min(1.0, max(0.0, float(v)))
-    return int(v * 255.0 + 0.5)
+def _channel(v) -> int:
+    """Clamp to [0, 1], nan reading as 0, and scale to 0..255 half up."""
+    v = float(v)
+    if 0.0 < v < 1.0:
+        return int(v * 255.0 + 0.5)
+    return 255 if v >= 1.0 else 0

@@ -9,10 +9,15 @@ takes the hue of zero, which is also the default backdrop; nothing is
 special-cased away.
 
 Redundant mode draws every element (8 corners, 12 edges, 6 walls, one
-interior body); representative mode draws one element per class.  The
-projection is oblique: x right, z up, y receding at a fixed angle with
-fixed foreshortening.  Scenes list their primitives back to front, so
-emission is a single pass and byte-identical for identical inputs.
+interior body); representative mode draws one element per class.  Both
+modes are one element table each: rows of (kind, class, corner
+numbers) in paint order.  A cube's 8 corners are offset, deformed and
+projected once, its 8 class colors are computed once, and every row
+picks its points and its color from those.  The projection is oblique:
+x right, z up, y receding at a fixed angle with fixed foreshortening.
+Scenes list their primitives back to front, so emission is a single
+pass and byte-identical for identical inputs; within one emission each
+distinct coordinate is formatted once.
 """
 
 from __future__ import annotations
@@ -24,8 +29,6 @@ from typing import Callable, Mapping
 from .algebra import Multivector
 from .coding import LatticeMultivector
 from .colorwheel import RgbColor, hue_to_rgb, nu_of_x, rgb_to_hex
-
-_MODES = ("redundant", "representative")
 
 # blade word shown by each element class
 ELEMENT_WORDS = {
@@ -39,47 +42,43 @@ ELEMENT_WORDS = {
     "interior": 0b111,
 }
 
-# unit-cube topology; vertices are (x, y, z) with coordinates 0 or 1
+# Unit-cube corners are numbered x + 2y + 4z, coordinates 0 or 1.  Each
+# row of an element table is (kind, class, corner numbers); the rows are
+# in paint order, back to front.  With y receding to the upper right,
+# the walls at z=0, y=1 and x=0 sit behind the cube body, and the
+# interior's fill is carried by the front-face (y=0) silhouette.
 _CORNERS = tuple(
-    (x, y, z) for z in (0.0, 1.0) for y in (0.0, 1.0) for x in (0.0, 1.0)
+    (float(i & 1), float(i >> 1 & 1), float(i >> 2)) for i in range(8)
 )
-_EDGES = {
-    "edge-x": tuple((((0.0, y, z), (1.0, y, z))) for z in (0.0, 1.0) for y in (0.0, 1.0)),
-    "edge-y": tuple((((x, 0.0, z), (x, 1.0, z))) for z in (0.0, 1.0) for x in (0.0, 1.0)),
-    "edge-z": tuple((((x, y, 0.0), (x, y, 1.0))) for y in (0.0, 1.0) for x in (0.0, 1.0)),
+_BACK_AND_BODY = (
+    ("wall", "wall-xy", (0, 1, 3, 2)),
+    ("wall", "wall-xz", (2, 3, 7, 6)),
+    ("wall", "wall-yz", (0, 2, 6, 4)),
+    ("body", "interior", (0, 1, 5, 4)),
+)
+_ELEMENT_TABLES = {
+    # every element: 6 walls, the body, 12 edges, 8 corners
+    "redundant": _BACK_AND_BODY + (
+        ("edge", "edge-x", (0, 1)), ("edge", "edge-x", (2, 3)),
+        ("edge", "edge-x", (4, 5)), ("edge", "edge-x", (6, 7)),
+        ("edge", "edge-y", (0, 2)), ("edge", "edge-y", (1, 3)),
+        ("edge", "edge-y", (4, 6)), ("edge", "edge-y", (5, 7)),
+        ("edge", "edge-z", (0, 4)), ("edge", "edge-z", (1, 5)),
+        ("edge", "edge-z", (2, 6)), ("edge", "edge-z", (3, 7)),
+        ("wall", "wall-xy", (4, 5, 7, 6)),
+        ("wall", "wall-xz", (0, 1, 5, 4)),
+        ("wall", "wall-yz", (1, 3, 7, 5)),
+    ) + tuple(("corner", "corner", (i,)) for i in range(8)),
+    # one element per class: the back walls, so nothing hides the rest,
+    # the body, and the origin corner with the three edges leaving it
+    "representative": _BACK_AND_BODY + (
+        ("edge", "edge-x", (0, 1)),
+        ("edge", "edge-y", (0, 2)),
+        ("edge", "edge-z", (0, 4)),
+        ("corner", "corner", (0,)),
+    ),
 }
-
-
-def _quad(cls: str, fixed: float):
-    if cls == "wall-xy":  # z = fixed
-        return ((0.0, 0.0, fixed), (1.0, 0.0, fixed), (1.0, 1.0, fixed), (0.0, 1.0, fixed))
-    if cls == "wall-xz":  # y = fixed
-        return ((0.0, fixed, 0.0), (1.0, fixed, 0.0), (1.0, fixed, 1.0), (0.0, fixed, 1.0))
-    return ((fixed, 0.0, 0.0), (fixed, 1.0, 0.0), (fixed, 1.0, 1.0), (fixed, 0.0, 1.0))
-
-
-# with y receding to the upper right, the faces at y=1, z=0 and x=0 sit
-# behind the cube body and the other three face the viewer
-_WALLS_BACK = (
-    ("wall-xy", _quad("wall-xy", 0.0)),
-    ("wall-xz", _quad("wall-xz", 1.0)),
-    ("wall-yz", _quad("wall-yz", 0.0)),
-)
-_WALLS_FRONT = (
-    ("wall-xy", _quad("wall-xy", 1.0)),
-    ("wall-xz", _quad("wall-xz", 0.0)),
-    ("wall-yz", _quad("wall-yz", 1.0)),
-)
-_INTERIOR_FACE = _quad("wall-xz", 0.0)  # front-face silhouette carries the fill
-
-# representative mode: the origin corner, the three edges leaving it,
-# and the three back walls so nothing hides the rest
-_REP_CORNER = (0.0, 0.0, 0.0)
-_REP_EDGES = {
-    "edge-x": ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
-    "edge-y": ((0.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
-    "edge-z": ((0.0, 0.0, 0.0), (0.0, 0.0, 1.0)),
-}
+_MODES = tuple(_ELEMENT_TABLES)
 
 
 @dataclass(frozen=True)
@@ -170,53 +169,31 @@ def _projector(style: CubeStyle) -> Callable:
     return project
 
 
-def _class_colors(mv: Multivector) -> dict[str, RgbColor]:
-    return {
-        cls: hue_to_rgb(nu_of_x(float(mv.coeffs[word])))
-        for cls, word in ELEMENT_WORDS.items()
-    }
-
-
 def _cube_elements(mv, style, offset, deformation, project) -> list:
-    colors = _class_colors(mv)
+    """The cube's primitives: its 8 corners are placed once and shared."""
+    coeffs = mv.coeffs.tolist()
+    colors = {
+        cls: hue_to_rgb(nu_of_x(coeffs[word])) for cls, word in ELEMENT_WORDS.items()
+    }
     ox, oy, oz = offset
-
-    def at(p):
-        q = (p[0] + ox, p[1] + oy, p[2] + oz)
+    points = []
+    for x, y, z in _CORNERS:
+        q = (x + ox, y + oy, z + oz)
         if deformation is not None:
-            q = tuple(float(c) for c in deformation(q))
+            q = tuple(map(float, deformation(q)))
             if len(q) != 3:
                 raise ValueError("deformation must return a 3-point")
-        return project(q)
-
-    def wall(cls, quad):
-        return Polygon(tuple(at(p) for p in quad), colors[cls], style.wall_opacity, cls)
-
-    def edge(cls, seg):
-        return Segment(at(seg[0]), at(seg[1]), colors[cls], style.stroke_width, cls)
-
+        points.append(project(q))
     elements = []
-    if style.mode == "redundant":
-        elements.extend(wall(cls, quad) for cls, quad in _WALLS_BACK)
-        elements.append(
-            Polygon(tuple(at(p) for p in _INTERIOR_FACE),
-                    colors["interior"], style.interior_opacity, "interior")
-        )
-        for cls in ("edge-x", "edge-y", "edge-z"):
-            elements.extend(edge(cls, seg) for seg in _EDGES[cls])
-        elements.extend(wall(cls, quad) for cls, quad in _WALLS_FRONT)
-        elements.extend(
-            Disc(at(v), style.corner_radius, colors["corner"], "corner")
-            for v in _CORNERS
-        )
-    else:
-        elements.extend(wall(cls, quad) for cls, quad in _WALLS_BACK)
-        elements.append(
-            Polygon(tuple(at(p) for p in _INTERIOR_FACE),
-                    colors["interior"], style.interior_opacity, "interior")
-        )
-        elements.extend(edge(cls, _REP_EDGES[cls]) for cls in ("edge-x", "edge-y", "edge-z"))
-        elements.append(Disc(at(_REP_CORNER), style.corner_radius, colors["corner"], "corner"))
+    for kind, cls, corners in _ELEMENT_TABLES[style.mode]:
+        if kind == "edge":
+            elements.append(Segment(points[corners[0]], points[corners[1]], colors[cls],
+                                    style.stroke_width, cls))
+        elif kind == "corner":
+            elements.append(Disc(points[corners[0]], style.corner_radius, colors[cls], cls))
+        else:
+            opacity = style.wall_opacity if kind == "wall" else style.interior_opacity
+            elements.append(Polygon(tuple([points[i] for i in corners]), colors[cls], opacity, cls))
     return elements
 
 
@@ -323,12 +300,28 @@ def _fmt(v: float) -> str:
     return "0.00" if s == "-0.00" else s
 
 
+class _Memo(dict):
+    """``fn(key)`` for each distinct key, worked out on first lookup."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 def emit_svg(scene: Scene, width: int, height: int) -> str:
     """Serialize a scene to SVG 1.1 text, centered in the viewport.
 
     Pure function of its arguments: identical scenes give identical
     bytes.  Colors come out as #RRGGBB fills and strokes, and every
     element carries its class name, so the text parses back losslessly.
+    Cubes share corners, so each distinct coordinate is formatted once
+    per call.
     """
     if not isinstance(scene, Scene):
         raise TypeError("expected a Scene")
@@ -342,6 +335,9 @@ def emit_svg(scene: Scene, width: int, height: int) -> str:
         x0, y0, x1, y1 = bbox
         dx = width / 2.0 - (x0 + x1) / 2.0
         dy = height / 2.0 - (y0 + y1) / 2.0
+    # keys that compare equal (0.0 and -0.0) give equal text, "-0.00" -> "0.00"
+    xs = _Memo(lambda x: _fmt(x + dx))
+    ys = _Memo(lambda y: _fmt(y + dy))
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -351,24 +347,24 @@ def emit_svg(scene: Scene, width: int, height: int) -> str:
     ]
     for el in scene.elements:
         if isinstance(el, Polygon):
-            pts = " ".join(f"{_fmt(x + dx)},{_fmt(y + dy)}" for x, y in el.points)
+            pts = " ".join([f"{xs[x]},{ys[y]}" for x, y in el.points])
             opacity = "" if el.opacity >= 1.0 else f' fill-opacity="{el.opacity:g}"'
             lines.append(
                 f'<polygon class="{el.css_class}" points="{pts}" '
                 f'fill="{rgb_to_hex(el.color)}"{opacity}/>'
             )
         elif isinstance(el, Segment):
+            (x1, y1), (x2, y2) = el.start, el.end
             lines.append(
                 f'<line class="{el.css_class}" '
-                f'x1="{_fmt(el.start[0] + dx)}" y1="{_fmt(el.start[1] + dy)}" '
-                f'x2="{_fmt(el.end[0] + dx)}" y2="{_fmt(el.end[1] + dy)}" '
+                f'x1="{xs[x1]}" y1="{ys[y1]}" x2="{xs[x2]}" y2="{ys[y2]}" '
                 f'stroke="{rgb_to_hex(el.color)}" stroke-width="{el.width:g}" '
                 f'stroke-linecap="round"/>'
             )
         else:
             lines.append(
                 f'<circle class="{el.css_class}" '
-                f'cx="{_fmt(el.center[0] + dx)}" cy="{_fmt(el.center[1] + dy)}" '
+                f'cx="{xs[el.center[0]]}" cy="{ys[el.center[1]]}" '
                 f'r="{el.radius:g}" fill="{rgb_to_hex(el.color)}"/>'
             )
     lines.append("</svg>")

@@ -33,10 +33,9 @@ class StateVector:
     def __init__(self, amps, dim: int | None = None):
         arr = np.array(amps, dtype=np.float64).reshape(-1)
         if dim is None:
-            n = int(arr.size).bit_length() - 1
-            if arr.size != (1 << n):
+            if arr.size == 0 or arr.size & (arr.size - 1):
                 raise ValueError(f"amplitude count must be a power of two, got {arr.size}")
-            dim = n
+            dim = arr.size.bit_length() - 1
         if not isinstance(dim, int) or not 1 <= dim <= 16:
             raise ValueError(f"dimension must be in [1, 16], got {dim!r}")
         if arr.size != (1 << dim):

@@ -188,3 +188,38 @@ def test_render_rejects_bad_viewport_and_style_flags(tmp_path, capsys, flags):
     assert run(["render", str(src), "--output", str(dst), *flags]) == 2
     assert capsys.readouterr().err.startswith("error:")
     assert not dst.exists()
+
+
+@pytest.mark.parametrize("command, table", [
+    ("render", EXAMPLE_JSON),
+    ("lattice-render", json.dumps({"0,0": {"000": 1.0}, "1,0": {"100": 1.0}})),
+])
+def test_timings_go_to_stderr_only(tmp_path, capsys, command, table):
+    src = tmp_path / "input.json"
+    src.write_text(table)
+    plain, timed = tmp_path / "plain.svg", tmp_path / "timed.svg"
+    assert run([command, str(src), "--output", str(plain)]) == 0
+    plain_out = capsys.readouterr()
+    assert run([command, str(src), "--output", str(timed), "--timings"]) == 0
+    timed_out = capsys.readouterr()
+    assert timed_out.out == plain_out.out.replace(str(plain), str(timed))
+    assert plain_out.err == ""
+    assert timed.read_bytes() == plain.read_bytes()
+    report = dict(line.split(None, 1) for line in timed_out.err.splitlines())
+    assert list(report) == ["read", "parse", "scene", "emit", "write",
+                            "cells", "primitives", "bytes"]
+    for stage in ("read", "parse", "scene", "emit", "write"):
+        assert report[stage].endswith(" s") and float(report[stage][:-2]) >= 0.0
+    cells = 1 if command == "render" else 2
+    assert report["cells"] == str(cells)
+    assert report["primitives"] == str(27 * cells)
+    assert report["bytes"] == str(len(plain.read_bytes()))
+
+
+def test_timings_keep_the_error_exit(tmp_path, capsys):
+    src = tmp_path / "bad.json"
+    src.write_text('{"00": 1.0, "111": 2.0}')
+    assert run(["render", str(src), "--output", str(tmp_path / "x.svg"), "--timings"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")

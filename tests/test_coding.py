@@ -190,6 +190,20 @@ def test_lattice_rejects_cells_that_coincide_after_padding():
     assert len(LatticeMultivector({(0, 0): mv, (0, 0, 1): mv, (1,): mv})) == 3
 
 
+def test_lattice_lookups_pad_like_stored_cells():
+    mv = Multivector.scalar(1.0, 3)
+    lat = LatticeMultivector({(0, 0): mv, (2,): 2 * mv, (1, 1, 1): 3 * mv})
+    for cell in ((0, 0), (0, 0, 0), (0,), 0):
+        assert cell in lat
+        assert lat.get(cell) == mv
+    for cell in ((2,), (2, 0), (2, 0, 0), 2):
+        assert lattice_get(lat, cell) == 2 * mv
+    assert lat.get((1, 1, 1)) == 3 * mv
+    for cell in ((1, 1), (0, 0, 1), (2, 1), (1,)):
+        assert cell not in lat
+        assert lat.get(cell) == Multivector.zero(3)
+
+
 def test_lattice_set_order_does_not_matter():
     a = encode({"000": 1.0}, 3)
     b = encode({"111": -2.0}, 3)

@@ -208,6 +208,17 @@ def test_rgb_to_hex():
     assert rgb_to_hex((0.5 / 255.0, 0.0, 0.0)) == "#010000"
 
 
+@pytest.mark.parametrize("v", [
+    math.nan, math.inf, -math.inf, -1.0, -0.0, 0.0, 0.5 / 255.0, 0.5,
+    127.5 / 255.0, 254.5 / 255.0, math.nextafter(1.0, 0.0), 1.0, 1.5, 7, "0.25",
+])
+def test_rgb_to_hex_channel_matches_clamp_then_round(v):
+    # reference: clamp to [0, 1] with min/max (nan falls to 0), then round half up
+    want = int(min(1.0, max(0.0, float(v))) * 255.0 + 0.5)
+    assert rgb_to_hex((v, 0.0, 1.0)) == f"#{want:02X}00FF"
+    assert rgb_to_hex((1.0, v, v)) == f"#FF{want:02X}{want:02X}"
+
+
 def test_frozen_display_hexes():
     assert rgb_to_hex(hue_to_rgb(nu_of_x(0.0))) == "#8000FF"
     assert rgb_to_hex(hue_to_rgb(nu_of_x(1.0))) == "#FF0000"

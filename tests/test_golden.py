@@ -1,8 +1,8 @@
 """Byte-for-byte comparison against committed golden outputs.
 
-The goldens in tests/golden were written before the geometric product
-and the gate engine were rewritten; any change in rounding, term order
-or formatting shows here.  The ``product associativity`` line of the
+The goldens in tests/golden were written before the geometric product,
+the gate engine and the renderer were rewritten; any change in
+rounding, term order or formatting shows here.  The ``product associativity`` line of the
 verify golden is the most sensitive to product rounding.  Each product
 golden is one .npy array of shape (3, 2**dim): the two operands and
 their product.  The circuit golden is an array of shape (2, 2**10): a

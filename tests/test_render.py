@@ -10,10 +10,12 @@ import math
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from combcube.algebra import Multivector
 from combcube.coding import LatticeMultivector, bell_carrier, encode
-from combcube.colorwheel import hue_to_rgb, nu_of_x, rgb_to_hex
+from combcube.colorwheel import RgbColor, hue_to_rgb, nu_of_x, rgb_to_hex
 from combcube.gates import teleport
 from combcube.render import (
     ELEMENT_WORDS,
@@ -256,6 +258,30 @@ def test_deformation_must_return_points():
         lattice_scene(lat, deformation=lambda p: (p[0], p[1]))
 
 
+@pytest.mark.parametrize("mode", ["redundant", "representative"])
+def test_deformation_sees_each_cube_corner_once(mode):
+    cells = [(0, 0), (3, 0), (1, 2), (2, 1, 4)]
+    lat = LatticeMultivector({cell: _example_mv() for cell in cells})
+    style = CubeStyle(mode=mode)
+    seen = []
+
+    def record(p):
+        seen.append(p)
+        return p
+
+    scene = lattice_scene(lat, style, deformation=record)
+    assert scene == lattice_scene(lat, style)
+    # cubes are drawn far row first; each one deforms its 8 corners, once each
+    painted = sorted(cells, key=lambda c: (-c[1], c))
+    assert len(seen) == 8 * len(cells)
+    for n, cell in enumerate(painted):
+        i, j, k = cell + (0,) * (3 - len(cell))
+        corners = {(i + x, j + y, k + z) for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1.0)}
+        assert sorted(seen[8 * n:8 * n + 8]) == sorted(corners)
+    with pytest.raises(ValueError, match="3-point"):
+        lattice_scene(lat, style, deformation=lambda p: (p[0], p[1]))
+
+
 def test_cube_scene_validation():
     with pytest.raises(TypeError):
         cube_scene("not a multivector")
@@ -340,3 +366,68 @@ def test_sine_warp_rejects_non_finite_parameters():
         sine_warp(period=math.nan)
     with pytest.raises(ValueError, match="period"):
         sine_warp(period=math.inf)
+
+
+# coordinates that stress the formatting: signed zeros, values that sit
+# on a .xx5 rounding edge, and repeats (the pool is small, so points recur)
+_EDGY = st.sampled_from([
+    0.0, -0.0, 0.005, -0.005, 0.015, 1.005, -1.005, 2.675, -2.675,
+    0.125, -0.125, 10.0, 123.455, -99.995, 1e-9, -1e-9,
+])
+_COORD = st.one_of(_EDGY, st.floats(-500.0, 500.0))
+_POINT = st.tuples(_COORD, _COORD)
+_CHANNEL = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 0.5, 0.5 / 255.0, 1.5 / 255.0, 127.5 / 255.0]),
+    st.floats(0.0, 1.0),
+)
+_COLOR = st.builds(RgbColor, _CHANNEL, _CHANNEL, _CHANNEL)
+_ELEMENT = st.one_of(
+    st.builds(Polygon, st.lists(_POINT, min_size=1, max_size=5).map(tuple), _COLOR,
+              st.just(0.8), st.just("wall-xy")),
+    st.builds(Segment, _POINT, _POINT, _COLOR, st.just(3.0), st.just("edge-x")),
+    st.builds(Disc, _POINT, st.sampled_from([0.0, 2.5, 5.0]), _COLOR, st.just("corner")),
+)
+
+
+def _fmt_expected(v):
+    s = f"{v:.2f}"
+    return "0.00" if s == "-0.00" else s
+
+
+_RED = RgbColor(1.0, 0.0, 0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_ELEMENT, max_size=12), st.integers(1, 900), st.integers(1, 900))
+# a 2x2 viewport centred on these elements leaves dx = dy = 0, so the
+# signed zeros, -0.004 (printed -0.00 before folding) and the .xx5 edges
+# reach the formatter unshifted
+@example([
+    Segment((-0.004, -0.0), (2.004, 2.0), _RED, 3.0, "edge-x"),
+    Polygon(((0.0, -0.0), (-0.0, 1.005), (1.005, 0.015), (0.0, -0.0)), _RED, 0.8, "wall-xy"),
+    Disc((-0.0, 1.0), 0.0, RgbColor(0.5 / 255.0, -0.0, 127.5 / 255.0), "corner"),
+], 2, 2)
+def test_emitted_coordinates_and_colors_match_each_element(elements, width, height):
+    scene = Scene(hue_to_rgb(0.75), tuple(elements))
+    parsed = _parse(emit_svg(scene, width, height))[1:]
+    assert len(parsed) == len(elements)
+    if elements:
+        x0, y0, x1, y1 = scene_bbox(scene)
+        dx, dy = width / 2.0 - (x0 + x1) / 2.0, height / 2.0 - (y0 + y1) / 2.0
+    for el, (tag, _, color, attrib) in zip(elements, parsed):
+        assert color == rgb_to_hex(el.color)
+        if isinstance(el, Polygon):
+            assert tag == "polygon"
+            want = " ".join(f"{_fmt_expected(x + dx)},{_fmt_expected(y + dy)}" for x, y in el.points)
+            assert attrib["points"] == want
+        elif isinstance(el, Segment):
+            assert tag == "line"
+            assert [attrib[a] for a in ("x1", "y1", "x2", "y2")] == [
+                _fmt_expected(el.start[0] + dx), _fmt_expected(el.start[1] + dy),
+                _fmt_expected(el.end[0] + dx), _fmt_expected(el.end[1] + dy),
+            ]
+        else:
+            assert tag == "circle"
+            assert [attrib["cx"], attrib["cy"]] == [
+                _fmt_expected(el.center[0] + dx), _fmt_expected(el.center[1] + dy),
+            ]

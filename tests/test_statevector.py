@@ -36,6 +36,11 @@ def _gate_pool():
     return single + controlled
 
 
+def test_empty_amplitudes_name_the_count():
+    with pytest.raises(ValueError, match="power of two, got 0"):
+        StateVector([])
+
+
 def test_statevector_construction():
     sv = StateVector([1, 0, 0, 0])
     assert sv.dim == 2
