@@ -74,18 +74,16 @@ def _is_real(v) -> bool:
     return type(v) is float or (isinstance(v, numbers.Real) and not isinstance(v, bool))
 
 
-def _word_key(word: int, dim: int) -> str:
-    """Canonical key of a blade word: its dim bits, lowest first."""
-    return format(word, f"0{dim}b")[::-1]
-
-
 @lru_cache(maxsize=None)
 def _key_words(dim: int) -> dict[str, int]:
     """Canonical key -> blade word for every comb of Cl(dim), in key order.
 
+    Read as a binary number, the key "A1...An" is the blade word with its
+    bits reversed, so counting that number up lists the keys sorted.
     Shared by every caller, so it must not be mutated.
     """
-    return dict(sorted((_word_key(word, dim), word) for word in range(1 << dim)))
+    keys = (format(r, f"0{dim}b") for r in range(1 << dim))
+    return {key: int(key[::-1], 2) for key in keys}
 
 
 def encode(table: Mapping, dim: int) -> Multivector:
@@ -104,10 +102,11 @@ def encode(table: Mapping, dim: int) -> Multivector:
         if word is None:
             word = comb(_as_bits(key, dim))
         if word in seen:
-            raise ValueError(f"duplicate comb key {_word_key(word, dim)!r}")
+            raise ValueError(f"duplicate comb key {bits_to_key(comb_bits(word, dim))!r}")
         seen.add(word)
         if not _is_real(value):
-            raise ValueError(f"coefficient for {_word_key(word, dim)!r} must be a real number")
+            raise ValueError(
+                f"coefficient for {bits_to_key(comb_bits(word, dim))!r} must be a real number")
         coeffs[word] = float(value)
     return Multivector(coeffs, dim)
 
