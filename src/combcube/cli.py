@@ -6,9 +6,12 @@ Subcommands: ``teleport`` prints the teleported coefficient table,
 simulator and the algebra and color invariants, and ``color``
 evaluates the value-to-hue map either way.
 
-With ``--timings`` the two render commands also print to stderr the
-seconds spent reading, parsing, building the scene, emitting and
-writing, and the counts of cells, primitives and bytes.
+With ``--timings`` a command also prints to stderr the seconds spent
+in each of its stages, then its counts.  The two render commands report
+reading, parsing, building the scene, emitting and writing, and the
+counts of cells, primitives and bytes; ``teleport`` reports the compute
+stage (and writing, with ``--output``) and ``verify`` each suite, both
+with the number of gates applied.  Standard output does not change.
 
 Exit codes: 0 on success, 1 when verification fails, 2 on usage
 errors (bad flags, unreadable input, out-of-domain values).  All
@@ -37,7 +40,7 @@ from .coding import (
     multivector_to_json,
 )
 from .colorwheel import hue_to_rgb, nu_of_x, rgb_to_hex, x_of_nu
-from .gates import GATE_KINDS, Gate, apply_circuit, apply_gate, teleport
+from .gates import GATE_KINDS, Gate, apply_circuit, apply_gate, teleport, teleport_network
 from .render import (
     CubeStyle,
     cube_scene,
@@ -69,6 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--output", type=Path, help="also write the table as JSON")
+    _add_timings_flag(p)
     p.set_defaults(func=_cmd_teleport)
 
     p = sub.add_parser("render", help="render a coefficient table as a colored cube")
@@ -88,6 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the cross-engine and invariant checks")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--trials", type=int, default=1000)
+    _add_timings_flag(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("color", help="evaluate the value-to-hue map")
@@ -110,6 +115,10 @@ def _add_render_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corner-radius", type=float, default=5.0)
     p.add_argument("--width", type=int, help="viewport width (default: fit contents)")
     p.add_argument("--height", type=int, help="viewport height (default: fit contents)")
+    _add_timings_flag(p)
+
+
+def _add_timings_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--timings", action="store_true",
                    help="print seconds per stage and counts to stderr")
 
@@ -145,15 +154,6 @@ def _print_table(mv: Multivector) -> None:
         print(f"{key}  {_fmt_number(value)}")
 
 
-def _cmd_teleport(args) -> int:
-    mv = teleport(args.alpha, args.beta)
-    _print_table(mv)
-    if args.output is not None:
-        args.output.write_text(multivector_to_json(mv))
-        print(f"wrote {args.output}")
-    return 0
-
-
 class _StageClock:
     """Seconds spent in each stage of a command, in the order they ran."""
 
@@ -165,6 +165,27 @@ class _StageClock:
         now = time.perf_counter()
         self.seconds[stage] = now - self._last
         self._last = now
+
+    def report(self, **counts: int) -> None:
+        """Print the seconds of each stage, then the counts, to stderr."""
+        for stage, seconds in self.seconds.items():
+            print(f"{stage:<10} {seconds:.6f} s", file=sys.stderr)
+        for name, count in counts.items():
+            print(f"{name:<10} {count}", file=sys.stderr)
+
+
+def _cmd_teleport(args) -> int:
+    clock = _StageClock()
+    mv = teleport(args.alpha, args.beta)
+    clock.lap("compute")
+    _print_table(mv)
+    if args.output is not None:
+        args.output.write_text(multivector_to_json(mv))
+        clock.lap("write")
+        print(f"wrote {args.output}")
+    if args.timings:
+        clock.report(gates=len(teleport_network()))
+    return 0
 
 
 def _write_svg(args, clock: _StageClock, scene, cells: int) -> int:
@@ -180,11 +201,7 @@ def _write_svg(args, clock: _StageClock, scene, cells: int) -> int:
     clock.lap("write")
     print(f"wrote {args.output}")
     if args.timings:
-        for stage, seconds in clock.seconds.items():
-            print(f"{stage:<10} {seconds:.6f} s", file=sys.stderr)
-        for name, count in (("cells", cells), ("primitives", len(scene.elements)),
-                            ("bytes", len(svg.encode()))):
-            print(f"{name:<10} {count}", file=sys.stderr)
+        clock.report(cells=cells, primitives=len(scene.elements), bytes=len(svg.encode()))
     return 0
 
 
@@ -242,28 +259,34 @@ def _random_circuit(rng, length: int):
     return gates
 
 
-def _suite_basis_agreement() -> float:
+# Each gate suite returns (max deviation, gate applications in both engines).
+
+
+def _suite_basis_agreement() -> tuple[float, int]:
     dev = 0.0
-    for gate in _gate_set():
+    gates = _gate_set()
+    for gate in gates:
         for word in range(8):
             mv = apply_gate(Multivector.blade(word, 3), gate)
             sv = sv_apply_gate(StateVector.basis(word, 3), gate)
             dev = max(dev, equivalence_check(mv, sv)[1])
-    return dev
+    return dev, 2 * 8 * len(gates)
 
 
-def _suite_random_circuits(rng, trials: int) -> float:
+def _suite_random_circuits(rng, trials: int) -> tuple[float, int]:
     dev = 0.0
+    applied = 0
     for _ in range(trials):
         circuit = _random_circuit(rng, 20)
         coeffs = rng.uniform(-1.0, 1.0, 8)
         mv = apply_circuit(circuit, Multivector(coeffs, 3))
         sv = sv_apply_circuit(circuit, StateVector(coeffs, 3))
         dev = max(dev, equivalence_check(mv, sv)[1])
-    return dev
+        applied += 2 * len(circuit)
+    return dev, applied
 
 
-def _suite_teleport(rng, trials: int) -> float:
+def _suite_teleport(rng, trials: int) -> tuple[float, int]:
     dev = 0.0
     expected = np.zeros(8)
     for _ in range(trials):
@@ -275,7 +298,7 @@ def _suite_teleport(rng, trials: int) -> float:
         expected[0b100] = beta
         dev = max(dev, float(np.max(np.abs(out.coeffs - expected))))
         dev = max(dev, equivalence_check(out, sv_teleport(alpha, beta))[1])
-    return dev
+    return dev, 2 * trials * len(teleport_network())
 
 
 def _suite_algebra(rng, trials: int) -> tuple[float, float]:
@@ -300,17 +323,18 @@ def _suite_algebra(rng, trials: int) -> tuple[float, float]:
     return exact_dev, assoc_dev
 
 
-def _suite_involutions(rng, trials: int) -> float:
+def _suite_involutions(rng, trials: int) -> tuple[float, int]:
     dev = 0.0
     gates = _gate_set()
-    for _ in range(max(1, trials // 10)):
+    rounds = max(1, trials // 10)
+    for _ in range(rounds):
         state = Multivector(rng.uniform(-1.0, 1.0, 8), 3)
         for gate in gates:
             once = apply_gate(state, gate)
             twice = apply_gate(once, gate)
             dev = max(dev, float(np.max(np.abs(twice.coeffs - state.coeffs))))
             dev = max(dev, abs(once.norm() - state.norm()))
-    return dev
+    return dev, 2 * rounds * len(gates)
 
 
 def _suite_colorwheel() -> tuple[float, float]:
@@ -332,15 +356,26 @@ def _cmd_verify(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
     rng = np.random.default_rng(args.seed)
+    clock = _StageClock()
     exact_dev, assoc_dev = _suite_algebra(rng, args.trials)
+    clock.lap("algebra")
     residual, roundtrip = _suite_colorwheel()
+    clock.lap("colorwheel")
+    basis_dev, basis_gates = _suite_basis_agreement()
+    clock.lap("basis")
+    circuit_dev, circuit_gates = _suite_random_circuits(rng, args.trials)
+    clock.lap("circuits")
+    teleport_dev, teleport_gates = _suite_teleport(rng, args.trials)
+    clock.lap("teleport")
+    involution_dev, involution_gates = _suite_involutions(rng, args.trials)
+    clock.lap("involution")
     checks = [
-        ("gate action on basis combs", _suite_basis_agreement(), 0.0),
-        ("random circuits vs simulator", _suite_random_circuits(rng, args.trials), 1e-12),
-        ("teleportation identity", _suite_teleport(rng, args.trials), 1e-12),
+        ("gate action on basis combs", basis_dev, 0.0),
+        ("random circuits vs simulator", circuit_dev, 1e-12),
+        ("teleportation identity", teleport_dev, 1e-12),
         ("generator relations", exact_dev, 0.0),
         ("product associativity", assoc_dev, 1e-10),
-        ("gate involutions and norms", _suite_involutions(rng, args.trials), 1e-12),
+        ("gate involutions and norms", involution_dev, 1e-12),
         ("color map residual", residual, 1e-12),
         ("color map roundtrip (rel)", roundtrip, 1e-9),
     ]
@@ -350,6 +385,8 @@ def _cmd_verify(args) -> int:
         all_ok = all_ok and ok
         print(f"{name:<32} max dev {dev:9.3e}  {'PASS' if ok else 'FAIL'}")
     print(f"overall: {'PASS' if all_ok else 'FAIL'}")
+    if args.timings:
+        clock.report(gates=basis_gates + circuit_gates + teleport_gates + involution_gates)
     return 0 if all_ok else 1
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Callable, Mapping
 
 from .algebra import Multivector
@@ -154,6 +155,30 @@ class Scene:
             if not isinstance(el, (Polygon, Segment, Disc)):
                 raise TypeError(f"unsupported scene element {type(el).__name__}")
 
+    @cached_property
+    def bbox(self):
+        """Bounding box (x0, y0, x1, y1) of the drawables, None when empty.
+
+        Worked out on first use and kept: the scene is frozen, and both
+        viewport sizing and ``emit_svg`` need it.
+        """
+        xs, ys = [], []
+        for el in self.elements:
+            if isinstance(el, Polygon):
+                for x, y in el.points:
+                    xs.append(x)
+                    ys.append(y)
+            elif isinstance(el, Segment):
+                for x, y in (el.start, el.end):
+                    xs.append(x)
+                    ys.append(y)
+            else:
+                xs.extend((el.center[0] - el.radius, el.center[0] + el.radius))
+                ys.extend((el.center[1] - el.radius, el.center[1] + el.radius))
+        if not xs:
+            return None
+        return (min(xs), min(ys), max(xs), max(ys))
+
 
 def _projector(style: CubeStyle) -> Callable:
     """Oblique projection to screen coordinates, y flipped for SVG."""
@@ -277,22 +302,7 @@ def lattice_scene(
 
 def scene_bbox(scene: Scene):
     """Bounding box (x0, y0, x1, y1) of the drawables, None when empty."""
-    xs, ys = [], []
-    for el in scene.elements:
-        if isinstance(el, Polygon):
-            for x, y in el.points:
-                xs.append(x)
-                ys.append(y)
-        elif isinstance(el, Segment):
-            for x, y in (el.start, el.end):
-                xs.append(x)
-                ys.append(y)
-        else:
-            xs.extend((el.center[0] - el.radius, el.center[0] + el.radius))
-            ys.extend((el.center[1] - el.radius, el.center[1] + el.radius))
-    if not xs:
-        return None
-    return (min(xs), min(ys), max(xs), max(ys))
+    return scene.bbox
 
 
 def _fmt(v: float) -> str:

@@ -5,7 +5,9 @@ index holds the k-th bit label, so ``amps[0b101]`` is the amplitude of
 the labels (1, 0, 1).  Everything real, nothing clever.
 
 This module deliberately re-derives gate action from 2x2 matrices
-applied with stride loops over amplitude pairs.  It shares the Gate
+applied to strided pair views of the amplitudes: the target bit becomes
+an axis of length 2 whose two slots hold each pair (a0, a1), and a
+control bit becomes another such axis fixed at 1.  It shares the Gate
 and Circuit descriptions with :mod:`combcube.gates` but none of the
 application code, so agreement between the two engines is evidence,
 not tautology.
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import _INV_SQRT2, Multivector
+from .algebra import _INV_SQRT2, Multivector, _is_int
 from .gates import Gate, teleport_network
 
 _MATRICES = {
@@ -23,6 +25,12 @@ _MATRICES = {
     "Z": ((1.0, 0.0), (0.0, -1.0)),
     "H": ((_INV_SQRT2, _INV_SQRT2), (_INV_SQRT2, -_INV_SQRT2)),
 }
+
+
+def _check_dim(dim) -> int:
+    if not _is_int(dim) or not 1 <= dim <= 16:
+        raise ValueError(f"dimension must be in [1, 16], got {dim!r}")
+    return int(dim)
 
 
 class StateVector:
@@ -36,14 +44,13 @@ class StateVector:
             if arr.size == 0 or arr.size & (arr.size - 1):
                 raise ValueError(f"amplitude count must be a power of two, got {arr.size}")
             dim = arr.size.bit_length() - 1
-        if not isinstance(dim, int) or not 1 <= dim <= 16:
-            raise ValueError(f"dimension must be in [1, 16], got {dim!r}")
+        dim = _check_dim(dim)
         if arr.size != (1 << dim):
             raise ValueError(f"expected {1 << dim} amplitudes, got {arr.size}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("amplitudes must be finite")
         arr.flags.writeable = False
-        self._dim = int(dim)
+        self._dim = dim
         self._amps = arr
 
     @property
@@ -56,8 +63,9 @@ class StateVector:
 
     @classmethod
     def basis(cls, index: int, dim: int) -> "StateVector":
-        if not isinstance(dim, int) or not 1 <= dim <= 16:
-            raise ValueError(f"dimension must be in [1, 16], got {dim!r}")
+        dim = _check_dim(dim)
+        if not _is_int(index):
+            raise ValueError(f"basis index must be an integer, got {index!r}")
         if not 0 <= index < (1 << dim):
             raise ValueError(f"basis index out of range: {index}")
         arr = np.zeros(1 << dim)
@@ -68,40 +76,54 @@ class StateVector:
         return f"StateVector(dim={self._dim})"
 
 
-def sv_apply_gate(sv: StateVector, gate: Gate) -> StateVector:
-    """Apply one gate by looping over target-bit amplitude pairs."""
+def _pair_views(amps: np.ndarray, gate: Gate) -> tuple[np.ndarray, np.ndarray]:
+    """Views (a0, a1) of the amplitude pairs ``gate`` mixes.
+
+    a0 holds the amplitudes with the target bit 0, a1 their partners
+    with it set; for a controlled gate, only those with the control bit
+    set.  Writing to a view writes to ``amps``.
+    """
+    t = gate.target - 1
+    if gate.control is None:
+        v = amps.reshape(-1, 2, 1 << t)
+        return v[:, 0], v[:, 1]
+    c = gate.control - 1
+    lo, hi = min(t, c), max(t, c)
+    v = amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+    if t == hi:
+        return v[:, 0, :, 1], v[:, 1, :, 1]
+    return v[:, 1, :, 0], v[:, 1, :, 1]
+
+
+def _apply(gates, sv: StateVector) -> StateVector:
+    """Check every gate against ``sv``, then apply them first to last."""
     if not isinstance(sv, StateVector):
         raise TypeError("expected a StateVector")
-    if not isinstance(gate, Gate):
-        raise TypeError("expected a Gate")
-    if not 1 <= gate.target <= sv.dim:
-        raise ValueError(f"target bit {gate.target} out of range for {sv.dim} bits")
-    tbit = 1 << (gate.target - 1)
-    cbit = 0
-    if gate.control is not None:
-        if not 1 <= gate.control <= sv.dim:
+    for gate in gates:
+        if not isinstance(gate, Gate):
+            raise TypeError("expected a Gate")
+        if not 1 <= gate.target <= sv.dim:
+            raise ValueError(f"target bit {gate.target} out of range for {sv.dim} bits")
+        if gate.control is not None and not 1 <= gate.control <= sv.dim:
             raise ValueError(f"control bit {gate.control} out of range for {sv.dim} bits")
-        cbit = 1 << (gate.control - 1)
-    m = _MATRICES[gate.kind[-1]]
-    amps = sv.amps
-    new = amps.copy()
-    for i in range(amps.size):
-        if i & tbit:
-            continue
-        if cbit and not i & cbit:
-            continue
-        j = i | tbit
-        a0, a1 = amps[i], amps[j]
-        new[i] = m[0][0] * a0 + m[0][1] * a1
-        new[j] = m[1][0] * a0 + m[1][1] * a1
-    return StateVector(new, sv.dim)
+    amps = sv.amps.copy()
+    for gate in gates:
+        (m00, m01), (m10, m11) = _MATRICES[gate.kind[-1]]
+        a0, a1 = _pair_views(amps, gate)
+        n0 = m00 * a0 + m01 * a1  # taken before a1 is overwritten
+        a1[...] = m10 * a0 + m11 * a1
+        a0[...] = n0
+    return StateVector(amps, sv.dim)
+
+
+def sv_apply_gate(sv: StateVector, gate: Gate) -> StateVector:
+    """Apply one gate to the target-bit amplitude pairs."""
+    return _apply((gate,), sv)
 
 
 def sv_apply_circuit(circuit, sv: StateVector) -> StateVector:
-    out = sv
-    for gate in circuit:
-        out = sv_apply_gate(out, gate)
-    return out
+    """Apply the gates first to last; every gate is checked before any runs."""
+    return _apply(tuple(circuit), sv)
 
 
 def sv_teleport(alpha: float, beta: float) -> StateVector:

@@ -347,6 +347,13 @@ def test_scene_bbox():
     assert scene_bbox(scene) == (-5.0, -20.0, 30.0, 5.0)
 
 
+def test_scene_bbox_is_worked_out_once():
+    scene = cube_scene(teleport(0.6, 0.8))
+    emit_svg(scene, 400, 300)
+    # emit_svg stored the box on the frozen scene; viewport sizing reuses it
+    assert vars(scene)["bbox"] is scene_bbox(scene)
+
+
 @pytest.mark.parametrize("field", [
     "background", "angle_deg", "foreshortening", "edge", "stroke_width",
     "corner_radius", "wall_opacity", "interior_opacity",

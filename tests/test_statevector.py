@@ -11,8 +11,8 @@ import math
 import numpy as np
 import pytest
 
-from combcube.algebra import Multivector
-from combcube.gates import Gate, apply_circuit, apply_gate, teleport
+from combcube.algebra import MAX_DIM, Multivector
+from combcube.gates import GATE_KINDS, Gate, apply_circuit, apply_gate, teleport
 from combcube.statevector import (
     StateVector,
     equivalence_check,
@@ -147,3 +147,131 @@ def test_equivalence_check_reports_deviation():
         equivalence_check(Multivector.zero(2), StateVector.basis(0, 3))
     with pytest.raises(TypeError):
         equivalence_check(mv, np.zeros(8))
+
+
+# -- the former per-pair loop, kept as the bitwise reference ------------------
+
+_LOOP_MATRICES = {
+    "X": ((0.0, 1.0), (1.0, 0.0)),
+    "Z": ((1.0, 0.0), (0.0, -1.0)),
+    "H": ((INV_SQRT2, INV_SQRT2), (INV_SQRT2, -INV_SQRT2)),
+}
+
+
+def _loop_gate(amps: np.ndarray, gate: Gate) -> np.ndarray:
+    """One gate by a Python loop over target-bit amplitude pairs."""
+    tbit = 1 << (gate.target - 1)
+    cbit = 0 if gate.control is None else 1 << (gate.control - 1)
+    m = _LOOP_MATRICES[gate.kind[-1]]
+    new = amps.copy()
+    for i in range(amps.size):
+        if i & tbit:
+            continue
+        if cbit and not i & cbit:
+            continue
+        j = i | tbit
+        a0, a1 = amps[i], amps[j]
+        new[i] = m[0][0] * a0 + m[0][1] * a1
+        new[j] = m[1][0] * a0 + m[1][1] * a1
+    return new
+
+
+def _extreme_amps(rng, dim: int) -> np.ndarray:
+    """Both signs, magnitudes 1e-300 to 1e300, a fifth of them +0.0 or -0.0."""
+    n = 1 << dim
+    amps = rng.choice((-1.0, 1.0), n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
+    zeros = rng.random(n) < 0.2
+    amps[zeros] = rng.choice((0.0, -0.0), int(zeros.sum()))
+    return amps
+
+
+def _gates_at(dim: int) -> list[Gate]:
+    """Every kind on the low, high and a middle bit; controls above and below."""
+    bits = sorted({1, 2, (dim + 1) // 2, dim - 1, dim} & set(range(1, dim + 1)))
+    gates = [Gate(kind, t) for kind in ("X", "Z", "H") for t in bits]
+    gates += [Gate(kind, t, c) for kind in ("CX", "CZ")
+              for t in bits for c in bits if c != t]
+    return gates
+
+
+@pytest.mark.parametrize("dim", range(1, 11))
+def test_gates_match_the_pair_loop_bit_for_bit(dim):
+    rng = np.random.default_rng(100 + dim)
+    amps = _extreme_amps(rng, dim)
+    gates = _gates_at(dim)
+    assert {g.kind for g in gates} == set(GATE_KINDS if dim > 1 else ("X", "Z", "H"))
+    if dim > 1:
+        assert any(g.control > g.target for g in gates if g.control)
+        assert any(g.control < g.target for g in gates if g.control)
+    for gate in gates:
+        got = sv_apply_gate(StateVector(amps, dim), gate).amps
+        assert got.tobytes() == _loop_gate(amps, gate).tobytes(), gate.label()
+
+
+@pytest.mark.parametrize("dim", range(1, 11))
+def test_circuits_match_the_pair_loop_bit_for_bit(dim):
+    rng = np.random.default_rng(200 + dim)
+    pool = _gates_at(dim)
+    for _ in range(3):
+        circuit = [pool[rng.integers(len(pool))] for _ in range(20)]
+        amps = _extreme_amps(rng, dim)
+        want = amps
+        for gate in circuit:
+            want = _loop_gate(want, gate)
+        got = sv_apply_circuit(circuit, StateVector(amps, dim)).amps
+        assert got.tobytes() == want.tobytes()
+
+
+def test_intermediate_overflow_is_rejected():
+    # H H is the identity, but the first H overflows to inf on the way
+    sv = StateVector([1.5e308, 1.5e308])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            sv_apply_circuit([Gate("H", 1), Gate("H", 1)], sv)
+
+
+def test_circuit_is_checked_before_any_gate_runs():
+    sv = StateVector([1.5e308, 1.5e308, 0.0, 0.0])
+    with pytest.raises(ValueError, match="target bit 3 out of range for 2 bits"):
+        sv_apply_circuit([Gate("H", 1), Gate("X", 3)], sv)
+    with pytest.raises(ValueError, match="control bit 5 out of range for 2 bits"):
+        sv_apply_circuit([Gate("H", 1), Gate("CZ", 1, 5)], sv)
+    with pytest.raises(TypeError, match="expected a Gate"):
+        sv_apply_circuit([Gate("H", 1), ("X", 1)], sv)
+    with pytest.raises(TypeError, match="expected a StateVector"):
+        sv_apply_circuit([], np.zeros(8))
+
+
+def test_engines_agree_on_a_max_dim_circuit():
+    rng = np.random.default_rng(16)
+    circuit = []
+    for _ in range(20):
+        kind = GATE_KINDS[rng.integers(len(GATE_KINDS))]
+        target, control = (int(b) for b in rng.choice(np.arange(1, MAX_DIM + 1), 2, replace=False))
+        circuit.append(Gate(kind, target, control if kind in ("CX", "CZ") else None))
+    start = rng.uniform(-1.0, 1.0, 1 << MAX_DIM)
+    mv = apply_circuit(circuit, Multivector(start, MAX_DIM))
+    sv = sv_apply_circuit(circuit, StateVector(start, MAX_DIM))
+    ok, deviation = equivalence_check(mv, sv)
+    assert ok, f"Cl({MAX_DIM}) circuit deviated by {deviation}"
+
+
+def test_numpy_integer_dimension_is_stored_as_int():
+    sv = StateVector(np.zeros(8), np.int64(3))
+    assert sv.dim == 3 and type(sv.dim) is int
+    basis = StateVector.basis(np.int64(5), np.int32(3))
+    assert type(basis.dim) is int and basis.amps[5] == 1.0
+
+
+@pytest.mark.parametrize("dim", [True, 3.0, "3"])
+def test_non_integer_dimension_is_rejected(dim):
+    with pytest.raises(ValueError, match="dimension"):
+        StateVector(np.zeros(8), dim)
+    with pytest.raises(ValueError, match="dimension"):
+        StateVector.basis(0, dim)
+
+
+@pytest.mark.parametrize("index", [True, 1.5, "1"])
+def test_non_integer_basis_index_is_rejected(index):
+    with pytest.raises(ValueError, match="index"):
+        StateVector.basis(index, 3)
