@@ -9,9 +9,10 @@ evaluates the value-to-hue map either way.
 With ``--timings`` a command also prints to stderr the seconds spent
 in each of its stages, then its counts.  The two render commands report
 reading, parsing, building the scene, emitting and writing, and the
-counts of cells, primitives and bytes; ``teleport`` reports the compute
-stage (and writing, with ``--output``) and ``verify`` each suite, both
-with the number of gates applied.  Standard output does not change.
+counts of cells, primitives and bytes; ``teleport`` reports computing
+and writing (the table, and the JSON file with ``--output``) and
+``verify`` each suite, both with the number of gates applied.  Standard
+output does not change.
 
 Exit codes: 0 on success, 1 when verification fails, 2 on usage
 errors (bad flags, unreadable input, out-of-domain values).  All
@@ -154,6 +155,20 @@ def _print_table(mv: Multivector) -> None:
         print(f"{key}  {_fmt_number(value)}")
 
 
+def _cmd_teleport(args) -> int:
+    clock = _StageClock()
+    mv = teleport(args.alpha, args.beta)
+    clock.lap("compute")
+    _print_table(mv)
+    if args.output is not None:
+        args.output.write_text(multivector_to_json(mv))
+        print(f"wrote {args.output}")
+    clock.lap("write")
+    if args.timings:
+        clock.report(gates=len(teleport_network()))
+    return 0
+
+
 class _StageClock:
     """Seconds spent in each stage of a command, in the order they ran."""
 
@@ -172,20 +187,6 @@ class _StageClock:
             print(f"{stage:<10} {seconds:.6f} s", file=sys.stderr)
         for name, count in counts.items():
             print(f"{name:<10} {count}", file=sys.stderr)
-
-
-def _cmd_teleport(args) -> int:
-    clock = _StageClock()
-    mv = teleport(args.alpha, args.beta)
-    clock.lap("compute")
-    _print_table(mv)
-    if args.output is not None:
-        args.output.write_text(multivector_to_json(mv))
-        clock.lap("write")
-        print(f"wrote {args.output}")
-    if args.timings:
-        clock.report(gates=len(teleport_network()))
-    return 0
 
 
 def _write_svg(args, clock: _StageClock, scene, cells: int) -> int:

@@ -226,7 +226,7 @@ def test_timings_keep_the_error_exit(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, stages, gates", [
-    (["teleport", "--alpha", "0.6", "--beta", "0.8"], ["compute"], 6),
+    (["teleport", "--alpha", "0.6", "--beta", "0.8"], ["compute", "write"], 6),
     (["verify", "--seed", "3", "--trials", "10"],
      ["algebra", "colorwheel", "basis", "circuits", "teleport", "involution"],
      2 * 12 * 8 + 2 * 10 * 20 + 2 * 10 * 6 + 2 * 1 * 12),
@@ -244,11 +244,3 @@ def test_teleport_and_verify_timings_go_to_stderr_only(capsys, argv, stages, gat
         assert report[stage].endswith(" s") and float(report[stage][:-2]) >= 0.0
     assert report["gates"] == str(gates)
 
-
-def test_teleport_timings_name_the_write_stage(tmp_path, capsys):
-    out = tmp_path / "table.json"
-    assert run(["teleport", "--alpha", "0.6", "--beta", "0.8", "--output", str(out),
-                "--timings"]) == 0
-    report = dict(line.split(None, 1) for line in capsys.readouterr().err.splitlines())
-    assert list(report) == ["compute", "write", "gates"]
-    assert out.exists()
