@@ -11,13 +11,17 @@ lattice goldens are the teleport network applied to a seeded 8x8
 lattice, written as lattice JSON, and three ``lattice-render`` SVGs of
 that same seeded lattice (warped, flat, and flat in representative
 mode).  The ``render`` goldens draw the README example table in both
-modes and once with every geometry flag off its default.
+modes and once with every geometry flag off its default.  A seeded
+32x32 lattice gives outputs of about 3 MB in all, so only their sha256
+digests are committed: its teleported lattice JSON and its warped
+``lattice-render`` SVG in both modes.
 
 To rewrite the goldens at a commit whose outputs are trusted, run
 ``PYTHONPATH=src python tests/test_golden.py`` from the repository root.
 """
 
 import contextlib
+import hashlib
 import io
 import tempfile
 from pathlib import Path
@@ -78,6 +82,17 @@ SVG_CASES = {
 }
 
 
+# sha256 digests of the 32x32 outputs, one "digest  name" line each
+DIGEST_GOLDEN = "lattice_32x32.sha256"
+# extra ``lattice-render`` argv of each 32x32 SVG digest, by name
+DIGEST_SVG_CASES = {
+    "lattice_32x32_warped.svg": ["--deformation", "sine-warp"],
+    "lattice_32x32_warped_representative.svg": [
+        "--deformation", "sine-warp", "--mode", "representative"],
+}
+DIGEST_JSON = "lattice_32x32_teleported.json"
+
+
 def _product(a, b):
     dim = a.size.bit_length() - 1
     return geometric_product(Multivector(a, dim), Multivector(b, dim)).coeffs
@@ -99,24 +114,42 @@ def _circuit_case() -> np.ndarray:
     return np.stack([state, out])
 
 
-def _seeded_lattice() -> LatticeMultivector:
-    rng = np.random.default_rng(64)
+def _seeded_lattice(side: int = 8, seed: int = 64) -> LatticeMultivector:
+    rng = np.random.default_rng(seed)
     return LatticeMultivector(
-        {(i, j): Multivector(rng.uniform(-2.0, 2.0, 8), 3) for i in range(8) for j in range(8)}
+        {(i, j): Multivector(rng.uniform(-2.0, 2.0, 8), 3)
+         for i in range(side) for j in range(side)}
     )
 
 
-def _lattice_json() -> str:
-    return lattice_to_json(apply_circuit_lattice(teleport_network(), _seeded_lattice()))
+def _lattice_json(lat: LatticeMultivector | None = None) -> str:
+    lat = _seeded_lattice() if lat is None else lat
+    return lattice_to_json(apply_circuit_lattice(teleport_network(), lat))
+
+
+def _run_to_svg(command: str, text: str, extra, tmp: Path) -> str:
+    src, out = tmp / "input.json", tmp / "output.svg"
+    src.write_text(text)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run([command, str(src), "--output", str(out), *extra]) == 0
+    return out.read_text()
 
 
 def _svg(name: str, tmp: Path) -> str:
     command, extra = SVG_CASES[name]
-    src, out = tmp / "input.json", tmp / "output.svg"
-    src.write_text(README_TABLE if command == "render" else lattice_to_json(_seeded_lattice()))
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert run([command, str(src), "--output", str(out), *extra]) == 0
-    return out.read_text()
+    text = README_TABLE if command == "render" else lattice_to_json(_seeded_lattice())
+    return _run_to_svg(command, text, extra, tmp)
+
+
+def _digests(tmp: Path) -> str:
+    """The DIGEST_GOLDEN text for the seeded 32x32 lattice."""
+    lat = _seeded_lattice(32, 32)
+    outputs = {DIGEST_JSON: _lattice_json(lat)}
+    text = lattice_to_json(lat)
+    for name, extra in DIGEST_SVG_CASES.items():
+        outputs[name] = _run_to_svg("lattice-render", text, extra, tmp)
+    return "".join(f"{hashlib.sha256(out.encode()).hexdigest()}  {name}\n"
+                   for name, out in sorted(outputs.items()))
 
 
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
@@ -149,6 +182,10 @@ def test_svg_matches_golden(name, tmp_path):
     assert _svg(name, tmp_path) == (GOLDEN / name).read_text()
 
 
+def test_32x32_outputs_match_digests(tmp_path):
+    assert _digests(tmp_path) == (GOLDEN / DIGEST_GOLDEN).read_text()
+
+
 def _write_goldens() -> None:
     for name, argv in CLI_CASES.items():
         out = io.StringIO()
@@ -166,6 +203,7 @@ def _write_goldens() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for name in SVG_CASES:
             (GOLDEN / name).write_text(_svg(name, Path(tmp)))
+        (GOLDEN / DIGEST_GOLDEN).write_text(_digests(Path(tmp)))
 
 
 if __name__ == "__main__":
