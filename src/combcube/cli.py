@@ -202,7 +202,7 @@ def _write_svg(args, clock: _StageClock, scene, cells: int) -> int:
     clock.lap("write")
     print(f"wrote {args.output}")
     if args.timings:
-        clock.report(cells=cells, primitives=len(scene.elements), bytes=len(svg.encode()))
+        clock.report(cells=cells, primitives=scene._primitives, bytes=len(svg.encode()))
     return 0
 
 
@@ -394,8 +394,12 @@ def _cmd_verify(args) -> int:
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A value that overflows is rejected by a finiteness check with its
+    # own message, so numpy's overflow and invalid-value warnings would
+    # only repeat it; library callers keep them.
     try:
-        return args.func(args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

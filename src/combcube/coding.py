@@ -11,12 +11,16 @@ are the canonical spelling in files.
 The module also provides the entangled carrier (1 + b2 b3)/sqrt(2)
 used by the teleportation network, the four-element Bell-style basis
 on bits 1 and 2, and a sparse immutable lattice of dim-3 multivectors
-keyed by integer cell indices.
+keyed by integer cell indices.  A lattice is stored as its sorted cell
+indices and one read-only (ncells, 8) coefficient block, row i holding
+cell i; the JSON codecs, the gates and the renderer work on the block,
+and Multivectors are built only when a cell is looked up.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from functools import lru_cache
 from typing import Mapping
@@ -26,6 +30,10 @@ import numpy as np
 from .algebra import _INV_SQRT2, Multivector, _check_dim, _is_int
 
 _LATTICE_DIM = 3
+
+# Largest |index| in a lattice cell: cell indices fit a signed 32-bit
+# integer, and grid offsets and corner coordinates stay exact floats.
+MAX_CELL_INDEX = 2**31 - 1
 
 
 def _as_bits(key, dim: int | None = None) -> tuple[int, ...]:
@@ -94,8 +102,18 @@ def encode(table: Mapping, dim: int) -> Multivector:
     comb, is an error.
     """
     _check_dim(dim)
+    coeffs = [0.0] * (1 << dim)
+    _fill(coeffs, 0, table, dim)
+    return Multivector(coeffs, dim)
+
+
+def _fill(out: list, start: int, table: Mapping, dim: int) -> None:
+    """Write ``table``'s coefficients into ``out[start:start + 2**dim]``.
+
+    The checks and messages of :func:`encode`, which is this on a zero
+    list; the slice must hold zeros on entry.
+    """
     words = _key_words(dim)
-    coeffs = np.zeros(1 << dim)
     seen = set()
     for key, value in table.items():
         word = words.get(key) if isinstance(key, str) else None
@@ -107,8 +125,13 @@ def encode(table: Mapping, dim: int) -> Multivector:
         if not _is_real(value):
             raise ValueError(
                 f"coefficient for {bits_to_key(comb_bits(word, dim))!r} must be a real number")
-        coeffs[word] = float(value)
-    return Multivector(coeffs, dim)
+        try:
+            out[start + word] = float(value)
+        except OverflowError:  # an integer beyond the float range
+            raise ValueError(
+                f"coefficient for {bits_to_key(comb_bits(word, dim))!r} must be finite")
+    if not all(map(math.isfinite, out[start:start + (1 << dim)])):
+        raise ValueError("coefficients must be finite")
 
 
 def decode(mv: Multivector) -> dict[tuple[int, ...], float]:
@@ -154,11 +177,23 @@ def _as_cell(cell) -> tuple[int, ...]:
         raise ValueError(f"cell index must be an integer or a tuple, got {cell!r}")
     if not 1 <= len(parts) <= 3 or not all(_is_int(p) for p in parts):
         raise ValueError(f"cell index must hold 1 to 3 integers, got {cell!r}")
-    return tuple(int(p) for p in parts)
+    parts = tuple(int(p) for p in parts)
+    if not all(-MAX_CELL_INDEX <= p <= MAX_CELL_INDEX for p in parts):
+        raise ValueError(
+            f"cell index {parts} out of range: each index must lie in "
+            f"[-{MAX_CELL_INDEX}, {MAX_CELL_INDEX}]")
+    return parts
 
 
 def _padded(cell: tuple[int, ...]) -> tuple[int, int, int]:
     return cell + (0,) * (3 - len(cell))
+
+
+def _claim(places: dict, cell: tuple[int, ...]) -> None:
+    """Record where ``cell`` is drawn; a second cell there is an error."""
+    other = places.setdefault(_padded(cell), cell)
+    if other is not cell:
+        raise ValueError(f"cells {other} and {cell} are the same cell")
 
 
 class LatticeMultivector:
@@ -169,20 +204,19 @@ class LatticeMultivector:
     equal after zero-padding to three indices, such as (0, 0) and
     (0, 0, 0), would be drawn at one place, so they are an error, and
     lookups pad the same way: on a lattice holding (0, 0), ``get`` and
-    ``in`` find it as (0, 0, 0) too.
+    ``in`` find it as (0, 0, 0) too.  Each index lies within
+    +-MAX_CELL_INDEX.
     """
 
-    __slots__ = ("_cells",)
+    __slots__ = ("_cells", "_block", "_rows")
 
     def __init__(self, cells: Mapping | None = None):
         stored: dict[tuple[int, ...], Multivector] = {}
-        padded: dict[tuple[int, ...], tuple[int, ...]] = {}
+        places: dict = {}
         if cells is not None:
             for cell, mv in cells.items():
                 key = _as_cell(cell)
-                other = padded.setdefault(_padded(key), key)
-                if other is not key:
-                    raise ValueError(f"cells {other} and {key} are the same cell")
+                _claim(places, key)
                 if not isinstance(mv, Multivector):
                     raise TypeError(f"cell {key} value must be a Multivector")
                 if mv.dim != _LATTICE_DIM:
@@ -190,28 +224,50 @@ class LatticeMultivector:
                         f"cell {key} must hold a dim-{_LATTICE_DIM} multivector, got dim {mv.dim}"
                     )
                 stored[key] = mv
-        self._cells = stored
+        keys = sorted(stored)
+        block = np.array([stored[key].coeffs for key in keys]).reshape(-1, 1 << _LATTICE_DIM)
+        self._init(tuple(keys), block)
+
+    @classmethod
+    def _from_block(cls, cells: tuple, block: np.ndarray) -> "LatticeMultivector":
+        """A lattice over ``cells``, already checked and sorted, and their
+        finite (ncells, 8) coefficient rows; ``block`` becomes read-only."""
+        lat = cls.__new__(cls)
+        lat._init(cells, block)
+        return lat
+
+    def _init(self, cells: tuple, block: np.ndarray) -> None:
+        block.flags.writeable = False
+        self._cells = cells
+        self._block = block
+        self._rows = None  # cell -> row, built by the first lookup
 
     def cell_indices(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted(self._cells))
+        return self._cells
 
     def items(self) -> tuple[tuple[tuple[int, ...], Multivector], ...]:
-        return tuple(sorted(self._cells.items()))
+        return tuple(
+            (cell, Multivector(row, _LATTICE_DIM)) for cell, row in zip(self._cells, self._block)
+        )
 
-    def _stored(self, cell):
-        """The stored index equal to ``cell`` after zero-padding, or None."""
+    def _row(self, cell):
+        """Row of the stored index equal to ``cell`` after zero-padding, or None."""
+        if self._rows is None:
+            self._rows = {key: row for row, key in enumerate(self._cells)}
         padded = _padded(_as_cell(cell))
         for n in (1, 2, 3):
-            if padded[:n] in self._cells and not any(padded[n:]):
-                return padded[:n]
+            if padded[:n] in self._rows and not any(padded[n:]):
+                return self._rows[padded[:n]]
         return None
 
     def get(self, cell) -> Multivector:
-        key = self._stored(cell)
-        return Multivector.zero(_LATTICE_DIM) if key is None else self._cells[key]
+        row = self._row(cell)
+        if row is None:
+            return Multivector.zero(_LATTICE_DIM)
+        return Multivector(self._block[row], _LATTICE_DIM)
 
     def set(self, cell, mv: Multivector) -> "LatticeMultivector":
-        updated = dict(self._cells)
+        updated = dict(self.items())
         updated[_as_cell(cell)] = mv
         return LatticeMultivector(updated)
 
@@ -219,12 +275,12 @@ class LatticeMultivector:
         return len(self._cells)
 
     def __contains__(self, cell) -> bool:
-        return self._stored(cell) is not None
+        return self._row(cell) is not None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LatticeMultivector):
             return NotImplemented
-        return self.items() == other.items()
+        return self._cells == other._cells and bool(np.array_equal(self._block, other._block))
 
     __hash__ = None
 
@@ -256,27 +312,30 @@ def _unique_keys(pairs) -> dict:
 
 
 def _load_json(text: str):
-    """json.loads, but a key repeated within one object is a ValueError."""
-    return json.loads(text, object_pairs_hook=_unique_keys)
+    """json.loads, but a key repeated within one object, or nesting too
+    deep for the parser, is a ValueError."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise ValueError("JSON input nests too deeply") from None
 
 
 def _fmt_number(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def _table_body(mv: Multivector, indent: str) -> str:
+def _table_body(coeffs: list, dim: int, indent: str) -> str:
     """The lines of a coefficient table, in key order, without braces."""
-    coeffs = mv.coeffs.tolist()
     return ",\n".join([
         f'{indent}"{key}": {_fmt_number(coeffs[word])}'
-        for key, word in _key_words(mv.dim).items()
+        for key, word in _key_words(dim).items()
     ])
 
 
 def multivector_to_json(mv: Multivector) -> str:
     if not isinstance(mv, Multivector):
         raise TypeError("expected a Multivector")
-    return "{\n" + _table_body(mv, "  ") + "\n}\n"
+    return "{\n" + _table_body(mv.coeffs.tolist(), mv.dim, "  ") + "\n}\n"
 
 
 def multivector_from_json(text: str, dim: int | None = None) -> Multivector:
@@ -316,22 +375,36 @@ def lattice_to_json(lat: LatticeMultivector) -> str:
     if len(lat) == 0:
         return "{}\n"
     blocks = [
-        f'  "{cell_to_key(cell)}": {{\n{_table_body(mv, "    ")}\n  }}'
-        for cell, mv in lat.items()
+        f'  "{",".join(map(str, cell))}": {{\n{_table_body(row, _LATTICE_DIM, "    ")}\n  }}'
+        for cell, row in zip(lat.cell_indices(), lat._block.tolist())
     ]
     return "{\n" + ",\n".join(blocks) + "\n}\n"
 
 
 def lattice_from_json(text: str) -> LatticeMultivector:
+    """Read a lattice file straight into its coefficient block.
+
+    Each cell key is checked once, and each table as :func:`encode`
+    checks it; then, as in the constructor, no two cells may be equal
+    after zero-padding.
+    """
     obj = _load_json(text)
     if not isinstance(obj, dict):
         raise ValueError("lattice file must be a JSON object")
-    cells = {}
+    size = 1 << _LATTICE_DIM
+    coeffs = [0.0] * (size * len(obj))
+    rows: dict[tuple[int, ...], int] = {}  # cell -> its row in file order
     for key, table in obj.items():
         cell = key_to_cell(key)
-        if cell in cells:
+        if cell in rows:
             raise ValueError(f"cell key {key!r} repeats cell {cell_to_key(cell)!r}")
         if not isinstance(table, dict):
             raise ValueError(f"cell {key!r} must map to a coefficient table")
-        cells[cell] = encode(table, _LATTICE_DIM)
-    return LatticeMultivector(cells)
+        _fill(coeffs, size * len(rows), table, _LATTICE_DIM)
+        rows[cell] = len(rows)
+    places: dict = {}
+    for cell in rows:
+        _claim(places, cell)
+    cells = tuple(sorted(rows))
+    block = np.array(coeffs).reshape(-1, size)[[rows[cell] for cell in cells]]
+    return LatticeMultivector._from_block(cells, block)

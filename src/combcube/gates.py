@@ -18,7 +18,8 @@ over after the last H ends the stages.  Signs are exactly +-1 and the
 two H terms are added as (X part) + (Z part), so the result is
 bit-identical to applying the gates one at a time.  A non-finite value
 made on the way carries through to the end, where the Multivector
-check rejects it.
+check, or for a lattice one check of its whole coefficient block,
+rejects it.
 
 ``teleport_network`` is the six-gate sequence that moves a payload
 sitting on bit 1 across the entangled carrier on bits 2 and 3, landing
@@ -212,13 +213,12 @@ def apply_circuit_lattice(circuit, lat: LatticeMultivector) -> LatticeMultivecto
     if not isinstance(lat, LatticeMultivector):
         raise TypeError("expected a LatticeMultivector")
     stages = _compile([_op(gate) for gate in circuit], _LATTICE_DIM)
-    items = lat.items()
-    if not items:
+    if len(lat) == 0:
         return LatticeMultivector()
-    out = _run(stages, np.stack([mv.coeffs for _, mv in items]))
-    return LatticeMultivector(
-        {cell: Multivector(row, _LATTICE_DIM) for (cell, _), row in zip(items, out)}
-    )
+    out = _run(stages, lat._block)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("coefficients must be finite")
+    return LatticeMultivector._from_block(lat.cell_indices(), out)
 
 
 _TELEPORT_NETWORK = Circuit((

@@ -23,9 +23,11 @@ distinct coordinate is formatted once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import FrozenInstanceError, dataclass, fields
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
+
+import numpy as np
 
 from .algebra import Multivector
 from .coding import LatticeMultivector
@@ -48,9 +50,7 @@ ELEMENT_WORDS = {
 # in paint order, back to front.  With y receding to the upper right,
 # the walls at z=0, y=1 and x=0 sit behind the cube body, and the
 # interior's fill is carried by the front-face (y=0) silhouette.
-_CORNERS = tuple(
-    (float(i & 1), float(i >> 1 & 1), float(i >> 2)) for i in range(8)
-)
+_UNIT_CUBE = np.array([(i & 1, i >> 1 & 1, i >> 2) for i in range(8)], dtype=np.float64)
 _BACK_AND_BODY = (
     ("wall", "wall-xy", (0, 1, 3, 2)),
     ("wall", "wall-xz", (2, 3, 7, 6)),
@@ -142,18 +142,88 @@ class Disc:
     css_class: str
 
 
-@dataclass(frozen=True)
+_KINDS = {"wall": Polygon, "body": Polygon, "edge": Segment, "corner": Disc}
+
+
+class _Row(NamedTuple):
+    """One primitive of a drawing table, drawn once per item of a scene."""
+
+    kind: type  # Polygon, Segment or Disc
+    css_class: str
+    points: tuple[int, ...]  # numbers of the item's points it joins
+    slot: int  # which of the item's colors it takes
+    value: float  # its opacity, stroke width or radius
+
+
 class Scene:
-    """Drawables in paint order (back to front) over a solid backdrop."""
+    """Drawables in paint order (back to front) over a solid backdrop.
 
-    background: RgbColor
-    elements: tuple = field(default_factory=tuple)
+    A scene is stored as arrays: a table of rows, one per primitive,
+    drawn once for each item, the items' points as one (nitems,
+    npoints, 2) array, and each item's colors.  A cube scene has one
+    item per cube: its 8 projected corners, its 8 class colors (indexed
+    by blade word) and the mode's element table.  A scene built from
+    elements is one item whose table lists them.  ``elements`` gives the
+    drawables as Polygon, Segment and Disc, built on first read.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
-        for el in self.elements:
-            if not isinstance(el, (Polygon, Segment, Disc)):
+    def __init__(self, background: RgbColor, elements=()):
+        elements = tuple(elements)
+        table, points, colors = [], [], []
+        for el in elements:
+            if isinstance(el, Polygon):
+                kind, pts, value = Polygon, el.points, el.opacity
+            elif isinstance(el, Segment):
+                kind, pts, value = Segment, (el.start, el.end), el.width
+            elif isinstance(el, Disc):
+                kind, pts, value = Disc, (el.center,), el.radius
+            else:
                 raise TypeError(f"unsupported scene element {type(el).__name__}")
+            numbers = tuple(range(len(points), len(points) + len(pts)))
+            table.append(_Row(kind, el.css_class, numbers, len(colors), value))
+            points.extend(pts)
+            colors.append(el.color)
+        try:
+            corners = np.array(points, dtype=np.float64).reshape(1, len(points), 2)
+        except ValueError:
+            raise ValueError("scene points must be (x, y) pairs") from None
+        self._init(background, tuple(table), corners, [colors])
+        vars(self)["elements"] = elements
+
+    @classmethod
+    def _from_arrays(cls, background, table, corners, colors) -> "Scene":
+        scene = cls.__new__(cls)
+        scene._init(background, table, corners, colors)
+        return scene
+
+    def _init(self, background, table, corners, colors) -> None:
+        vars(self).update(background=background, _table=table, _corners=corners, _colors=colors)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @cached_property
+    def elements(self) -> tuple:
+        """The drawables as Polygon, Segment and Disc, in paint order."""
+        out = []
+        for pts, colors in zip(self._corners.tolist(), self._colors):
+            pts = [tuple(p) for p in pts]
+            for kind, cls, idx, slot, value in self._table:
+                if kind is Polygon:
+                    out.append(Polygon(tuple([pts[i] for i in idx]), colors[slot], value, cls))
+                elif kind is Segment:
+                    out.append(Segment(pts[idx[0]], pts[idx[1]], colors[slot], value, cls))
+                else:
+                    out.append(Disc(pts[idx[0]], value, colors[slot], cls))
+        return tuple(out)
+
+    @property
+    def _primitives(self) -> int:
+        """len(elements), without building them."""
+        return len(self._table) * len(self._corners)
 
     @cached_property
     def bbox(self):
@@ -162,64 +232,95 @@ class Scene:
         Worked out on first use and kept: the scene is frozen, and both
         viewport sizing and ``emit_svg`` need it.
         """
-        xs, ys = [], []
-        for el in self.elements:
-            if isinstance(el, Polygon):
-                for x, y in el.points:
-                    xs.append(x)
-                    ys.append(y)
-            elif isinstance(el, Segment):
-                for x, y in (el.start, el.end):
-                    xs.append(x)
-                    ys.append(y)
-            else:
-                xs.extend((el.center[0] - el.radius, el.center[0] + el.radius))
-                ys.extend((el.center[1] - el.radius, el.center[1] + el.radius))
-        if not xs:
+        if not len(self._corners):
             return None
-        return (min(xs), min(ys), max(xs), max(ys))
+        boxes = []
+        joined = sorted({i for row in self._table if row.kind is not Disc for i in row.points})
+        if joined:
+            boxes.append(_box(self._corners[:, joined]))
+        discs = [row for row in self._table if row.kind is Disc]
+        if discs:
+            centers = self._corners[:, [row.points[0] for row in discs]]
+            radii = np.array([row.value for row in discs], dtype=np.float64)[:, None]
+            boxes += [_box(centers - radii), _box(centers + radii)]
+        if not boxes:
+            return None
+        x0, y0, x1, y1 = zip(*boxes)
+        return (min(x0), min(y0), max(x1), max(y1))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.background, self.elements) == (other.background, other.elements)
+
+    def __hash__(self) -> int:
+        return hash((self.background, self.elements))
+
+    def __repr__(self) -> str:
+        return f"Scene(background={self.background!r}, elements={self.elements!r})"
 
 
-def _projector(style: CubeStyle) -> Callable:
-    """Oblique projection to screen coordinates, y flipped for SVG."""
+class _Memo(dict):
+    """``fn(key)`` for each distinct key, worked out on first lookup."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _box(points: np.ndarray) -> tuple:
+    """(x0, y0, x1, y1) of an array of (x, y) points, one axis at a time."""
+    x, y = points[..., 0], points[..., 1]
+    return float(x.min()), float(y.min()), float(x.max()), float(y.max())
+
+
+def _cube_table(style: CubeStyle) -> tuple:
+    values = {"wall": style.wall_opacity, "body": style.interior_opacity,
+              "edge": style.stroke_width, "corner": style.corner_radius}
+    return tuple(
+        _Row(_KINDS[kind], cls, corners, ELEMENT_WORDS[cls], values[kind])
+        for kind, cls, corners in _ELEMENT_TABLES[style.mode]
+    )
+
+
+def _deformed(deformation: Callable, p) -> tuple:
+    q = tuple(map(float, deformation(tuple(p))))
+    if len(q) != 3:
+        raise ValueError("deformation must return a 3-point")
+    return q
+
+
+def _cubes(block: np.ndarray, offsets: np.ndarray, style: CubeStyle, deformation) -> Scene:
+    """One cube per row of the (n, 8) coefficient ``block``, offset by the
+    matching row of ``offsets`` (n, 3): every scene's one builder.
+
+    Cubes are painted far to near by receding offset, ties in row order.
+    Each cube's corners are offset, deformed (one call per corner, cube
+    after cube) and projected obliquely, x right, z up and y receding,
+    in the float order of e * (x + fx * y) and (-e) * (z + fy * y).
+    """
+    order = np.argsort(-offsets[:, 1], kind="stable")
+    # 0.0 and -0.0 share a key, which is safe: both take the hue 3/4
+    hues = _Memo(lambda c: hue_to_rgb(nu_of_x(c)))
+    colors = [[hues[c] for c in row] for row in block[order].tolist()]
+    world = offsets[order][:, None, :] + _UNIT_CUBE
+    if deformation is not None:
+        world = np.array(
+            [_deformed(deformation, p) for p in world.reshape(-1, 3).tolist()]
+        ).reshape(world.shape)
     theta = math.radians(style.angle_deg)
     fx = style.foreshortening * math.cos(theta)
     fy = style.foreshortening * math.sin(theta)
-    e = style.edge
-
-    def project(p):
-        x, y, z = p
-        return (e * (x + fx * y), -e * (z + fy * y))
-
-    return project
-
-
-def _cube_elements(mv, style, offset, deformation, project) -> list:
-    """The cube's primitives: its 8 corners are placed once and shared."""
-    coeffs = mv.coeffs.tolist()
-    colors = {
-        cls: hue_to_rgb(nu_of_x(coeffs[word])) for cls, word in ELEMENT_WORDS.items()
-    }
-    ox, oy, oz = offset
-    points = []
-    for x, y, z in _CORNERS:
-        q = (x + ox, y + oy, z + oz)
-        if deformation is not None:
-            q = tuple(map(float, deformation(q)))
-            if len(q) != 3:
-                raise ValueError("deformation must return a 3-point")
-        points.append(project(q))
-    elements = []
-    for kind, cls, corners in _ELEMENT_TABLES[style.mode]:
-        if kind == "edge":
-            elements.append(Segment(points[corners[0]], points[corners[1]], colors[cls],
-                                    style.stroke_width, cls))
-        elif kind == "corner":
-            elements.append(Disc(points[corners[0]], style.corner_radius, colors[cls], cls))
-        else:
-            opacity = style.wall_opacity if kind == "wall" else style.interior_opacity
-            elements.append(Polygon(tuple([points[i] for i in corners]), colors[cls], opacity, cls))
-    return elements
+    e = float(style.edge)
+    x, y, z = world[..., 0], world[..., 1], world[..., 2]
+    corners = np.stack([e * (x + fx * y), -e * (z + fy * y)], axis=-1)
+    return Scene._from_arrays(hue_to_rgb(style.background), _cube_table(style), corners, colors)
 
 
 def cube_scene(mv: Multivector, style: CubeStyle | None = None) -> Scene:
@@ -229,9 +330,7 @@ def cube_scene(mv: Multivector, style: CubeStyle | None = None) -> Scene:
     if mv.dim != 3:
         raise ValueError(f"cube rendering needs dimension 3, got {mv.dim}")
     style = style if style is not None else CubeStyle()
-    project = _projector(style)
-    elements = _cube_elements(mv, style, (0.0, 0.0, 0.0), None, project)
-    return Scene(hue_to_rgb(style.background), tuple(elements))
+    return _cubes(mv.coeffs[None, :], np.zeros((1, 3)), style, None)
 
 
 def grid_placement(cells, spacing: float = 1.0) -> dict:
@@ -278,11 +377,11 @@ def lattice_scene(
     if not isinstance(lat, LatticeMultivector):
         raise TypeError("expected a LatticeMultivector")
     style = style if style is not None else CubeStyle()
-    cells = lat.items()
+    cells = lat.cell_indices()
     if placement is None:
-        placement = grid_placement(cell for cell, _ in cells)
-    offsets = {}
-    for cell, _ in cells:
+        placement = grid_placement(cells)
+    offsets = []
+    for cell in cells:
         if cell not in placement:
             raise ValueError(f"placement missing cell {cell}")
         off = tuple(float(c) for c in placement[cell])
@@ -290,14 +389,9 @@ def lattice_scene(
             off = (off[0], off[1], 0.0)
         if len(off) != 3:
             raise ValueError(f"offset for cell {cell} must have 2 or 3 components")
-        offsets[cell] = off
-    project = _projector(style)
-    elements = []
-    # painter order: larger receding coordinate first, index order on ties
-    ordered = sorted(cells, key=lambda item: (-offsets[item[0]][1], item[0]))
-    for cell, mv in ordered:
-        elements.extend(_cube_elements(mv, style, offsets[cell], deformation, project))
-    return Scene(hue_to_rgb(style.background), tuple(elements))
+        offsets.append(off)
+    return _cubes(lat._block, np.array(offsets, dtype=np.float64).reshape(-1, 3), style,
+                  deformation)
 
 
 def scene_bbox(scene: Scene):
@@ -308,20 +402,6 @@ def scene_bbox(scene: Scene):
 def _fmt(v: float) -> str:
     s = f"{v:.2f}"
     return "0.00" if s == "-0.00" else s
-
-
-class _Memo(dict):
-    """``fn(key)`` for each distinct key, worked out on first lookup."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
 
 
 def emit_svg(scene: Scene, width: int, height: int) -> str:
@@ -355,27 +435,31 @@ def emit_svg(scene: Scene, width: int, height: int) -> str:
         f'<rect class="background" x="0" y="0" width="{width}" height="{height}" '
         f'fill="{rgb_to_hex(scene.background)}"/>',
     ]
-    for el in scene.elements:
-        if isinstance(el, Polygon):
-            pts = " ".join([f"{xs[x]},{ys[y]}" for x, y in el.points])
-            opacity = "" if el.opacity >= 1.0 else f' fill-opacity="{el.opacity:g}"'
-            lines.append(
-                f'<polygon class="{el.css_class}" points="{pts}" '
-                f'fill="{rgb_to_hex(el.color)}"{opacity}/>'
-            )
-        elif isinstance(el, Segment):
-            (x1, y1), (x2, y2) = el.start, el.end
-            lines.append(
-                f'<line class="{el.css_class}" '
-                f'x1="{xs[x1]}" y1="{ys[y1]}" x2="{xs[x2]}" y2="{ys[y2]}" '
-                f'stroke="{rgb_to_hex(el.color)}" stroke-width="{el.width:g}" '
-                f'stroke-linecap="round"/>'
-            )
+    rows = []  # each table row with its attributes after the color, as text
+    for kind, cls, idx, slot, value in scene._table:
+        if kind is Polygon:
+            attrs = "" if value >= 1.0 else f' fill-opacity="{value:g}"'
+        elif kind is Segment:
+            attrs = f' stroke-width="{value:g}" stroke-linecap="round"'
         else:
-            lines.append(
-                f'<circle class="{el.css_class}" '
-                f'cx="{xs[el.center[0]]}" cy="{ys[el.center[1]]}" '
-                f'r="{el.radius:g}" fill="{rgb_to_hex(el.color)}"/>'
-            )
+            attrs = f' r="{value:g}"'
+        rows.append((kind, cls, idx, slot, attrs))
+    for pts, colors in zip(scene._corners.tolist(), scene._colors):
+        px = [xs[x] for x, _ in pts]
+        py = [ys[y] for _, y in pts]
+        pairs = [f"{x},{y}" for x, y in zip(px, py)]
+        for kind, cls, idx, slot, attrs in rows:
+            color = rgb_to_hex(colors[slot])
+            if kind is Polygon:
+                lines.append(f'<polygon class="{cls}" points="{" ".join([pairs[i] for i in idx])}" '
+                             f'fill="{color}"{attrs}/>')
+            elif kind is Segment:
+                i, j = idx
+                lines.append(f'<line class="{cls}" x1="{px[i]}" y1="{py[i]}" x2="{px[j]}" '
+                             f'y2="{py[j]}" stroke="{color}"{attrs}/>')
+            else:
+                i = idx[0]
+                lines.append(f'<circle class="{cls}" cx="{px[i]}" cy="{py[i]}"{attrs} '
+                             f'fill="{color}"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

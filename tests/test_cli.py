@@ -7,12 +7,13 @@ domain errors.
 
 import json
 import re
+import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from combcube.cli import build_parser, run
-from combcube.coding import multivector_from_json
+from combcube.coding import MAX_CELL_INDEX, multivector_from_json
 
 EXAMPLE_JSON = json.dumps({
     "000": -0.07, "100": 0.32, "010": -3.08, "001": 1.06,
@@ -244,3 +245,46 @@ def test_teleport_and_verify_timings_go_to_stderr_only(capsys, argv, stages, gat
         assert report[stage].endswith(" s") and float(report[stage][:-2]) >= 0.0
     assert report["gates"] == str(gates)
 
+
+
+def test_overflowing_teleport_prints_only_the_error(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+        assert run(["teleport", "--alpha", "1.5e308", "--beta", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: coefficients must be finite\n"
+
+
+@pytest.mark.parametrize("command, text", [
+    ("render", '{"000": ' + "[" * 200_000 + "]" * 200_000 + "}"),
+    ("lattice-render", '{"0,0": ' + "[" * 200_000 + "]" * 200_000 + "}"),
+    ("lattice-render", '{"0,0": ' + '{"000": ' * 200_000 + "1" + "}" * 200_001),
+], ids=["table", "lattice-list", "lattice-object"])
+def test_deeply_nested_json_is_a_usage_error(tmp_path, capsys, command, text):
+    src = tmp_path / "deep.json"
+    src.write_text(text)
+    assert run([command, str(src), "--output", str(tmp_path / "x.svg")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: JSON input nests too deeply\n"
+
+
+@pytest.mark.parametrize("index", [MAX_CELL_INDEX, -MAX_CELL_INDEX])
+def test_lattice_render_accepts_cell_indices_at_the_bound(tmp_path, capsys, index):
+    src = tmp_path / "lattice.json"
+    src.write_text(json.dumps({f"{index},0": {"000": 1.0}, f"{index},1": {"111": 1.0}}))
+    dst = tmp_path / "edge.svg"
+    assert run(["lattice-render", str(src), "--output", str(dst)]) == 0
+    assert len(list(ET.fromstring(dst.read_text()))) == 1 + 2 * 27
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("index", [MAX_CELL_INDEX + 1, -MAX_CELL_INDEX - 1, 10**20 - 1])
+def test_lattice_render_rejects_cell_indices_past_the_bound(tmp_path, capsys, index):
+    src = tmp_path / "lattice.json"
+    src.write_text(json.dumps({"0,0": {"000": 1.0}, f"{index},0": {"000": 1.0}}))
+    dst = tmp_path / "far.svg"
+    assert run(["lattice-render", str(src), "--output", str(dst)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cell index ({index}, 0) out of range")
+    assert not dst.exists()

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from combcube.algebra import Multivector, geometric_product
 from combcube.coding import (
+    MAX_CELL_INDEX,
     LatticeMultivector,
     bell_basis,
     bell_carrier,
@@ -18,6 +20,7 @@ from combcube.coding import (
     comb_bits,
     decode,
     encode,
+    key_to_cell,
     lattice_from_json,
     lattice_get,
     lattice_set,
@@ -269,3 +272,49 @@ def test_lattice_json_rejects_duplicate_cells():
         lattice_from_json('{"0,0": {"000": 1, "000": 2}}')
     with pytest.raises(ValueError, match="repeats cell"):
         lattice_from_json('{"0,0": {"000": 1}, "0, 0": {"000": 2}}')
+
+
+def test_lattice_cell_indices_are_bounded():
+    mv = Multivector.scalar(1.0, 3)
+    edge = (MAX_CELL_INDEX, -MAX_CELL_INDEX, 0)
+    assert edge in LatticeMultivector({edge: mv})
+    assert key_to_cell(f"{MAX_CELL_INDEX},{-MAX_CELL_INDEX}") == edge[:2]
+    for cell in ((MAX_CELL_INDEX + 1,), (0, -MAX_CELL_INDEX - 1), (1, 2, 10**20)):
+        with pytest.raises(ValueError, match=re.escape(f"cell index {cell} out of range")):
+            LatticeMultivector({cell: mv})
+        with pytest.raises(ValueError, match=re.escape(f"cell index {cell} out of range")):
+            lattice_from_json(json.dumps({",".join(map(str, cell)): {"000": 1.0}}))
+
+
+def test_json_integer_beyond_the_float_range_is_a_value_error():
+    huge = "1" + "0" * 400
+    with pytest.raises(ValueError, match="'100' must be finite"):
+        multivector_from_json('{"000": 1, "100": ' + huge + "}")
+    with pytest.raises(ValueError, match="'000' must be finite"):
+        lattice_from_json('{"0,0": {"000": -' + huge + "}}")
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        lattice_from_json('{"0,0": {"000": 1}, "1": {"111": Infinity}}')
+
+
+_KEYS = ("000", "100", "010", "001", "110", "101", "011", "111")
+_EXTREME = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324])
+_COEFF = st.one_of(_EXTREME, st.floats(allow_nan=False, allow_infinity=False))
+_CELL = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(tuple)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(_CELL, st.dictionaries(st.sampled_from(_KEYS), _COEFF)), max_size=8))
+def test_lattice_block_matches_per_cell_encode(entries):
+    places = {}
+    for cell, table in entries:  # one cell per drawn place, the first
+        places.setdefault(cell + (0,) * (3 - len(cell)), (cell, table))
+    tables = dict(places.values())
+    lat = lattice_from_json(json.dumps({",".join(map(str, c)): t for c, t in tables.items()}))
+    cells = sorted(tables)
+    want = np.array([encode(tables[cell], 3).coeffs for cell in cells]).reshape(-1, 8)
+    assert lat.cell_indices() == tuple(cells)
+    assert lat._block.tobytes() == want.tobytes()
+    built = LatticeMultivector({cell: encode(table, 3) for cell, table in tables.items()})
+    assert built._block.tobytes() == want.tobytes()
+    assert lat == built
+    assert lattice_from_json(lattice_to_json(lat)) == lat  # -0.0 is written as -0

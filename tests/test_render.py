@@ -9,6 +9,8 @@ import collections
 import math
 import xml.etree.ElementTree as ET
 
+import numpy as np
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from combcube.coding import LatticeMultivector, bell_carrier, encode
 from combcube.colorwheel import RgbColor, hue_to_rgb, nu_of_x, rgb_to_hex
 from combcube.gates import teleport
 from combcube.render import (
+    _ELEMENT_TABLES,
     ELEMENT_WORDS,
     CubeStyle,
     Disc,
@@ -438,3 +441,174 @@ def test_emitted_coordinates_and_colors_match_each_element(elements, width, heig
             assert [attrib["cx"], attrib["cy"]] == [
                 _fmt_expected(el.center[0] + dx), _fmt_expected(el.center[1] + dy),
             ]
+
+
+# -- the per-element reference ------------------------------------------------
+# The renderer as it was before scenes became arrays: each cube places,
+# deforms and projects its 8 corners in Python floats and builds one
+# Polygon, Segment or Disc per table row; the box and the emitter walk the
+# elements with isinstance checks.  The array scene must give the same
+# elements (signed zeros included), the same box and the same bytes.
+
+_REF_CORNERS = tuple((float(i & 1), float(i >> 1 & 1), float(i >> 2)) for i in range(8))
+
+
+def _ref_projector(style):
+    theta = math.radians(style.angle_deg)
+    fx = style.foreshortening * math.cos(theta)
+    fy = style.foreshortening * math.sin(theta)
+    e = style.edge
+
+    def project(p):
+        x, y, z = p
+        return (e * (x + fx * y), -e * (z + fy * y))
+
+    return project
+
+
+def _ref_cube_elements(mv, style, offset, deformation, project):
+    coeffs = mv.coeffs.tolist()
+    colors = {cls: hue_to_rgb(nu_of_x(coeffs[word])) for cls, word in ELEMENT_WORDS.items()}
+    ox, oy, oz = offset
+    points = []
+    for x, y, z in _REF_CORNERS:
+        q = (x + ox, y + oy, z + oz)
+        if deformation is not None:
+            q = tuple(map(float, deformation(q)))
+        points.append(project(q))
+    elements = []
+    for kind, cls, corners in _ELEMENT_TABLES[style.mode]:
+        if kind == "edge":
+            elements.append(Segment(points[corners[0]], points[corners[1]], colors[cls],
+                                    style.stroke_width, cls))
+        elif kind == "corner":
+            elements.append(Disc(points[corners[0]], style.corner_radius, colors[cls], cls))
+        else:
+            opacity = style.wall_opacity if kind == "wall" else style.interior_opacity
+            elements.append(Polygon(tuple([points[i] for i in corners]), colors[cls], opacity, cls))
+    return elements
+
+
+def _ref_lattice_elements(lat, style, placement, deformation):
+    cells = lat.items()
+    if placement is None:
+        placement = grid_placement(cell for cell, _ in cells)
+    offsets = {}
+    for cell, _ in cells:
+        off = tuple(float(c) for c in placement[cell])
+        offsets[cell] = off if len(off) == 3 else (off[0], off[1], 0.0)
+    project = _ref_projector(style)
+    elements = []
+    for cell, mv in sorted(cells, key=lambda item: (-offsets[item[0]][1], item[0])):
+        elements.extend(_ref_cube_elements(mv, style, offsets[cell], deformation, project))
+    return tuple(elements)
+
+
+def _ref_bbox(elements):
+    xs, ys = [], []
+    for el in elements:
+        if isinstance(el, Polygon):
+            for x, y in el.points:
+                xs.append(x)
+                ys.append(y)
+        elif isinstance(el, Segment):
+            for x, y in (el.start, el.end):
+                xs.append(x)
+                ys.append(y)
+        else:
+            xs.extend((el.center[0] - el.radius, el.center[0] + el.radius))
+            ys.extend((el.center[1] - el.radius, el.center[1] + el.radius))
+    return (min(xs), min(ys), max(xs), max(ys)) if xs else None
+
+
+def _ref_emit(background, elements, width, height):
+    bbox = _ref_bbox(elements)
+    dx = dy = 0.0
+    if bbox is not None:
+        dx = width / 2.0 - (bbox[0] + bbox[2]) / 2.0
+        dy = height / 2.0 - (bbox[1] + bbox[3]) / 2.0
+    fx = lambda x: _fmt_expected(x + dx)  # noqa: E731
+    fy = lambda y: _fmt_expected(y + dy)  # noqa: E731
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect class="background" x="0" y="0" width="{width}" height="{height}" '
+        f'fill="{rgb_to_hex(background)}"/>',
+    ]
+    for el in elements:
+        if isinstance(el, Polygon):
+            pts = " ".join(f"{fx(x)},{fy(y)}" for x, y in el.points)
+            opacity = "" if el.opacity >= 1.0 else f' fill-opacity="{el.opacity:g}"'
+            lines.append(f'<polygon class="{el.css_class}" points="{pts}" '
+                         f'fill="{rgb_to_hex(el.color)}"{opacity}/>')
+        elif isinstance(el, Segment):
+            (x1, y1), (x2, y2) = el.start, el.end
+            lines.append(f'<line class="{el.css_class}" x1="{fx(x1)}" y1="{fy(y1)}" '
+                         f'x2="{fx(x2)}" y2="{fy(y2)}" stroke="{rgb_to_hex(el.color)}" '
+                         f'stroke-width="{el.width:g}" stroke-linecap="round"/>')
+        else:
+            lines.append(f'<circle class="{el.css_class}" cx="{fx(el.center[0])}" '
+                         f'cy="{fy(el.center[1])}" r="{el.radius:g}" '
+                         f'fill="{rgb_to_hex(el.color)}"/>')
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+_EXTREME = st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 1.0, -1.0])
+_MAGNITUDE = st.builds(lambda sign, x: sign * x, st.sampled_from([1.0, -1.0]),
+                       st.floats(1e-300, 1e300))
+_MV = st.lists(st.one_of(_EXTREME, _MAGNITUDE, st.floats(-4.0, 4.0)),
+               min_size=8, max_size=8).map(lambda c: Multivector(c, 3))
+_CELL = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(tuple)
+# few distinct values, so receding offsets tie and signed zeros meet
+_OFFSET = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, -1.5, 3.25])
+_PLACE = st.lists(_OFFSET, min_size=2, max_size=3).map(tuple)
+
+
+@st.composite
+def _lattice_cases(draw):
+    cells = {}
+    for cell in draw(st.lists(_CELL, min_size=1, max_size=6)):
+        cells.setdefault(cell + (0,) * (3 - len(cell)), cell)
+    lat = LatticeMultivector({cell: draw(_MV) for cell in cells.values()})
+    placement = draw(st.one_of(st.none(), st.fixed_dictionaries(
+        {cell: _PLACE for cell in lat.cell_indices()})))
+    deformation = draw(st.sampled_from([None, sine_warp(), sine_warp(1.7, 2.5)]))
+    style = CubeStyle(mode=draw(st.sampled_from(["redundant", "representative"])),
+                      angle_deg=draw(st.sampled_from([30.0, 40.0, 90.0])),
+                      foreshortening=draw(st.sampled_from([0.5, 0.7, 1.0])))
+    return lat, style, placement, deformation
+
+
+@settings(max_examples=25, deadline=None)
+@given(_lattice_cases(), st.integers(1, 900), st.integers(1, 900))
+def test_lattice_scene_matches_the_per_element_reference(case, width, height):
+    lat, style, placement, deformation = case
+    scene = lattice_scene(lat, style, placement, deformation)
+    want = _ref_lattice_elements(lat, style, placement, deformation)
+    assert repr(scene.elements) == repr(want)  # repr tells -0.0 from 0.0
+    assert scene_bbox(scene) == _ref_bbox(want)
+    background = hue_to_rgb(style.background)
+    svg = _ref_emit(background, want, width, height)
+    assert emit_svg(lattice_scene(lat, style, placement, deformation), width, height) == svg
+    # a scene built from those elements takes the same box and emitter
+    assert emit_svg(Scene(background, want), width, height) == svg
+
+
+def test_cube_scene_matches_the_per_element_reference():
+    for style in (CubeStyle(), CubeStyle(mode="representative", angle_deg=40.0, edge=60.0)):
+        mv = _example_mv()
+        want = _ref_cube_elements(mv, style, (0.0, 0.0, 0.0), None, _ref_projector(style))
+        scene = cube_scene(mv, style)
+        assert repr(scene.elements) == repr(tuple(want))
+        assert emit_svg(scene, 400, 300) == _ref_emit(scene.background, want, 400, 300)
+
+
+def test_cube_scene_stores_corner_arrays():
+    lat = LatticeMultivector({(i, j): _example_mv() for i in range(3) for j in range(2)})
+    scene = lattice_scene(lat, deformation=sine_warp())
+    assert scene._corners.shape == (6, 8, 2)
+    assert "elements" not in vars(scene)  # built only when first read
+    assert len(scene.elements) == scene._primitives == 6 * 27
+    assert np.isfinite(scene._corners).all()
