@@ -20,7 +20,6 @@ and Multivectors are built only when a cell is looked up.
 from __future__ import annotations
 
 import json
-import math
 import numbers
 from functools import lru_cache
 from typing import Mapping
@@ -111,7 +110,8 @@ def _fill(out: list, start: int, table: Mapping, dim: int) -> None:
     """Write ``table``'s coefficients into ``out[start:start + 2**dim]``.
 
     The checks and messages of :func:`encode`, which is this on a zero
-    list; the slice must hold zeros on entry.
+    list; the slice must hold zeros on entry.  Non-finite values are
+    left for the caller to reject.
     """
     words = _key_words(dim)
     seen = set()
@@ -130,8 +130,6 @@ def _fill(out: list, start: int, table: Mapping, dim: int) -> None:
         except OverflowError:  # an integer beyond the float range
             raise ValueError(
                 f"coefficient for {bits_to_key(comb_bits(word, dim))!r} must be finite")
-    if not all(map(math.isfinite, out[start:start + (1 << dim)])):
-        raise ValueError("coefficients must be finite")
 
 
 def decode(mv: Multivector) -> dict[tuple[int, ...], float]:
@@ -384,9 +382,9 @@ def lattice_to_json(lat: LatticeMultivector) -> str:
 def lattice_from_json(text: str) -> LatticeMultivector:
     """Read a lattice file straight into its coefficient block.
 
-    Each cell key is checked once, and each table as :func:`encode`
-    checks it; then, as in the constructor, no two cells may be equal
-    after zero-padding.
+    Each cell key is checked once and each table as :func:`encode`
+    checks it, with one finiteness check of the whole block; then, as
+    in the constructor, no two cells may be equal after zero-padding.
     """
     obj = _load_json(text)
     if not isinstance(obj, dict):
@@ -402,9 +400,11 @@ def lattice_from_json(text: str) -> LatticeMultivector:
             raise ValueError(f"cell {key!r} must map to a coefficient table")
         _fill(coeffs, size * len(rows), table, _LATTICE_DIM)
         rows[cell] = len(rows)
+    block = np.array(coeffs)
+    if not np.all(np.isfinite(block)):
+        raise ValueError("coefficients must be finite")
     places: dict = {}
     for cell in rows:
         _claim(places, cell)
     cells = tuple(sorted(rows))
-    block = np.array(coeffs).reshape(-1, size)[[rows[cell] for cell in cells]]
-    return LatticeMultivector._from_block(cells, block)
+    return LatticeMultivector._from_block(cells, block.reshape(-1, size)[[rows[c] for c in cells]])

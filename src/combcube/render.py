@@ -187,17 +187,14 @@ class Scene:
             corners = np.array(points, dtype=np.float64).reshape(1, len(points), 2)
         except ValueError:
             raise ValueError("scene points must be (x, y) pairs") from None
-        self._init(background, tuple(table), corners, [colors])
-        vars(self)["elements"] = elements
+        vars(self).update(background=background, _table=tuple(table), _corners=corners,
+                          _colors=[colors], elements=elements)
 
     @classmethod
     def _from_arrays(cls, background, table, corners, colors) -> "Scene":
         scene = cls.__new__(cls)
-        scene._init(background, table, corners, colors)
+        vars(scene).update(background=background, _table=table, _corners=corners, _colors=colors)
         return scene
-
-    def _init(self, background, table, corners, colors) -> None:
-        vars(self).update(background=background, _table=table, _corners=corners, _colors=colors)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -232,19 +229,16 @@ class Scene:
         Worked out on first use and kept: the scene is frozen, and both
         viewport sizing and ``emit_svg`` need it.
         """
-        if not len(self._corners):
+        if not self._corners.size:
             return None
-        boxes = []
-        joined = sorted({i for row in self._table if row.kind is not Disc for i in row.points})
-        if joined:
-            boxes.append(_box(self._corners[:, joined]))
+        # Every point is drawn by some row, and a disc's center lies
+        # between its extents, so the points themselves can all go in.
+        boxes = [_box(self._corners)]
         discs = [row for row in self._table if row.kind is Disc]
         if discs:
             centers = self._corners[:, [row.points[0] for row in discs]]
             radii = np.array([row.value for row in discs], dtype=np.float64)[:, None]
             boxes += [_box(centers - radii), _box(centers + radii)]
-        if not boxes:
-            return None
         x0, y0, x1, y1 = zip(*boxes)
         return (min(x0), min(y0), max(x1), max(y1))
 
@@ -320,6 +314,8 @@ def _cubes(block: np.ndarray, offsets: np.ndarray, style: CubeStyle, deformation
     e = float(style.edge)
     x, y, z = world[..., 0], world[..., 1], world[..., 2]
     corners = np.stack([e * (x + fx * y), -e * (z + fy * y)], axis=-1)
+    if not np.all(np.isfinite(corners)):
+        raise ValueError("cube corners must be finite after placement and deformation")
     return Scene._from_arrays(hue_to_rgb(style.background), _cube_table(style), corners, colors)
 
 

@@ -255,6 +255,14 @@ def test_lattice_placement_validation():
     assert scene == cube_scene(Multivector.zero(3))
 
 
+def test_non_finite_corners_are_rejected():
+    lat = LatticeMultivector({(0,): Multivector.zero(3), (1,): Multivector.zero(3)})
+    with pytest.raises(ValueError, match="corners must be finite"):
+        lattice_scene(lat, deformation=lambda p: (p[0], p[1], math.nan if p[0] > 1 else p[2]))
+    with pytest.raises(ValueError, match="corners must be finite"):
+        lattice_scene(lat, placement={(0,): (math.inf, 0.0), (1,): (1.0, 0.0)})
+
+
 def test_deformation_must_return_points():
     lat = LatticeMultivector({(0,): Multivector.zero(3)})
     with pytest.raises(ValueError):
