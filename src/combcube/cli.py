@@ -46,7 +46,6 @@ from .render import (
     CubeStyle,
     cube_scene,
     emit_svg,
-    grid_placement,
     lattice_scene,
     scene_bbox,
     sine_warp,
@@ -222,8 +221,7 @@ def _cmd_lattice_render(args) -> int:
     lat = lattice_from_json(text)
     clock.lap("parse")
     deformation = sine_warp() if args.deformation == "sine-warp" else None
-    placement = grid_placement(lat.cell_indices())
-    scene = lattice_scene(lat, _style_from_args(args), placement, deformation)
+    scene = lattice_scene(lat, _style_from_args(args), deformation=deformation)
     return _write_svg(args, clock, scene, len(lat))
 
 

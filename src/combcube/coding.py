@@ -184,14 +184,17 @@ def _as_cell(cell) -> tuple[int, ...]:
 
 
 def _padded(cell: tuple[int, ...]) -> tuple[int, int, int]:
+    """The grid place (i, j, k) of a checked cell: missing indices are 0."""
     return cell + (0,) * (3 - len(cell))
 
 
-def _claim(places: dict, cell: tuple[int, ...]) -> None:
-    """Record where ``cell`` is drawn; a second cell there is an error."""
-    other = places.setdefault(_padded(cell), cell)
-    if other is not cell:
-        raise ValueError(f"cells {other} and {cell} are the same cell")
+def _cell_coeffs(cell: tuple[int, ...], mv) -> np.ndarray:
+    if not isinstance(mv, Multivector):
+        raise TypeError(f"cell {cell} value must be a Multivector")
+    if mv.dim != _LATTICE_DIM:
+        raise ValueError(
+            f"cell {cell} must hold a dim-{_LATTICE_DIM} multivector, got dim {mv.dim}")
+    return mv.coeffs
 
 
 class LatticeMultivector:
@@ -202,43 +205,49 @@ class LatticeMultivector:
     equal after zero-padding to three indices, such as (0, 0) and
     (0, 0, 0), would be drawn at one place, so they are an error, and
     lookups pad the same way: on a lattice holding (0, 0), ``get`` and
-    ``in`` find it as (0, 0, 0) too.  Each index lies within
+    ``in`` find it as (0, 0, 0) too, and ``set`` at (0, 0, 0) replaces
+    it and keeps the spelling (0, 0).  Each index lies within
     +-MAX_CELL_INDEX.
     """
 
-    __slots__ = ("_cells", "_block", "_rows")
+    __slots__ = ("_cells", "_block", "_index")
 
     def __init__(self, cells: Mapping | None = None):
-        stored: dict[tuple[int, ...], Multivector] = {}
-        places: dict = {}
-        if cells is not None:
-            for cell, mv in cells.items():
-                key = _as_cell(cell)
-                _claim(places, key)
-                if not isinstance(mv, Multivector):
-                    raise TypeError(f"cell {key} value must be a Multivector")
-                if mv.dim != _LATTICE_DIM:
-                    raise ValueError(
-                        f"cell {key} must hold a dim-{_LATTICE_DIM} multivector, got dim {mv.dim}"
-                    )
-                stored[key] = mv
-        keys = sorted(stored)
-        block = np.array([stored[key].coeffs for key in keys]).reshape(-1, 1 << _LATTICE_DIM)
-        self._init(tuple(keys), block)
+        keys, rows = [], []
+        for cell, mv in cells.items() if cells is not None else ():
+            keys.append(_as_cell(cell))
+            rows.append(_cell_coeffs(keys[-1], mv))
+        self._build(keys, np.array(rows).reshape(-1, 1 << _LATTICE_DIM))
 
-    @classmethod
-    def _from_block(cls, cells: tuple, block: np.ndarray) -> "LatticeMultivector":
-        """A lattice over ``cells``, already checked and sorted, and their
-        finite (ncells, 8) coefficient rows; ``block`` becomes read-only."""
-        lat = cls.__new__(cls)
-        lat._init(cells, block)
-        return lat
+    def _build(self, cells: list, block: np.ndarray) -> "LatticeMultivector":
+        """Every lattice's one builder; returns ``self``.
 
-    def _init(self, cells: tuple, block: np.ndarray) -> None:
+        ``cells`` are checked indices in input order and ``block`` their
+        finite (n, 8) rows.  Two cells at one grid place are an error
+        naming both, in input order.  The cells are then sorted, the
+        rows follow them into a read-only block, and the place -> row
+        dict of the check, renumbered, is kept as the lookup index.
+        """
+        places = [_padded(cell) for cell in cells]
+        index: dict[tuple[int, int, int], int] = {}
+        for row, place in enumerate(places):
+            first = index.setdefault(place, row)
+            if first != row:
+                raise ValueError(f"cells {cells[first]} and {cells[row]} are the same cell")
+        order = sorted(range(len(cells)), key=cells.__getitem__)
+        for row, i in enumerate(order):
+            index[places[i]] = row
+        block = block[order]
         block.flags.writeable = False
-        self._cells = cells
-        self._block = block
-        self._rows = None  # cell -> row, built by the first lookup
+        self._cells, self._block, self._index = tuple([cells[i] for i in order]), block, index
+        return self
+
+    def _with_block(self, block: np.ndarray) -> "LatticeMultivector":
+        """These cells and their index over ``block``, new finite rows in the same order."""
+        lat = LatticeMultivector.__new__(LatticeMultivector)
+        block.flags.writeable = False
+        lat._cells, lat._block, lat._index = self._cells, block, self._index
+        return lat
 
     def cell_indices(self) -> tuple[tuple[int, ...], ...]:
         return self._cells
@@ -248,32 +257,28 @@ class LatticeMultivector:
             (cell, Multivector(row, _LATTICE_DIM)) for cell, row in zip(self._cells, self._block)
         )
 
-    def _row(self, cell):
-        """Row of the stored index equal to ``cell`` after zero-padding, or None."""
-        if self._rows is None:
-            self._rows = {key: row for row, key in enumerate(self._cells)}
-        padded = _padded(_as_cell(cell))
-        for n in (1, 2, 3):
-            if padded[:n] in self._rows and not any(padded[n:]):
-                return self._rows[padded[:n]]
-        return None
-
     def get(self, cell) -> Multivector:
-        row = self._row(cell)
+        row = self._index.get(_padded(_as_cell(cell)))
         if row is None:
             return Multivector.zero(_LATTICE_DIM)
         return Multivector(self._block[row], _LATTICE_DIM)
 
     def set(self, cell, mv: Multivector) -> "LatticeMultivector":
-        updated = dict(self.items())
-        updated[_as_cell(cell)] = mv
-        return LatticeMultivector(updated)
+        cell = _as_cell(cell)
+        coeffs = _cell_coeffs(cell, mv)
+        row = self._index.get(_padded(cell))
+        if row is None:
+            return LatticeMultivector.__new__(LatticeMultivector)._build(
+                [*self._cells, cell], np.vstack([self._block, coeffs]))
+        block = self._block.copy()
+        block[row] = coeffs
+        return self._with_block(block)
 
     def __len__(self) -> int:
         return len(self._cells)
 
     def __contains__(self, cell) -> bool:
-        return self._row(cell) is not None
+        return _padded(_as_cell(cell)) in self._index
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LatticeMultivector):
@@ -384,7 +389,7 @@ def lattice_from_json(text: str) -> LatticeMultivector:
 
     Each cell key is checked once and each table as :func:`encode`
     checks it, with one finiteness check of the whole block; then, as
-    in the constructor, no two cells may be equal after zero-padding.
+    for every lattice, no two cells may be equal after zero-padding.
     """
     obj = _load_json(text)
     if not isinstance(obj, dict):
@@ -403,8 +408,4 @@ def lattice_from_json(text: str) -> LatticeMultivector:
     block = np.array(coeffs)
     if not np.all(np.isfinite(block)):
         raise ValueError("coefficients must be finite")
-    places: dict = {}
-    for cell in rows:
-        _claim(places, cell)
-    cells = tuple(sorted(rows))
-    return LatticeMultivector._from_block(cells, block.reshape(-1, size)[[rows[c] for c in cells]])
+    return LatticeMultivector.__new__(LatticeMultivector)._build(list(rows), block.reshape(-1, size))

@@ -212,13 +212,10 @@ def apply_circuit_lattice(circuit, lat: LatticeMultivector) -> LatticeMultivecto
     """Apply one circuit to every occupied cell; cells never interact."""
     if not isinstance(lat, LatticeMultivector):
         raise TypeError("expected a LatticeMultivector")
-    stages = _compile([_op(gate) for gate in circuit], _LATTICE_DIM)
-    if len(lat) == 0:
-        return LatticeMultivector()
-    out = _run(stages, lat._block)
+    out = _run(_compile([_op(gate) for gate in circuit], _LATTICE_DIM), lat._block)
     if not np.all(np.isfinite(out)):
         raise ValueError("coefficients must be finite")
-    return LatticeMultivector._from_block(lat.cell_indices(), out)
+    return lat._with_block(out)
 
 
 _TELEPORT_NETWORK = Circuit((

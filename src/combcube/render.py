@@ -30,7 +30,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .algebra import Multivector
-from .coding import LatticeMultivector
+from .coding import LatticeMultivector, _padded
 from .colorwheel import RgbColor, hue_to_rgb, nu_of_x, rgb_to_hex
 
 # blade word shown by each element class
@@ -336,10 +336,9 @@ def grid_placement(cells, spacing: float = 1.0) -> dict:
     x-y plane.
     """
     out = {}
-    for cell in cells:
-        cell = tuple(cell)
-        c3 = cell + (0,) * (3 - len(cell))
-        out[cell] = (c3[0] * spacing, c3[1] * spacing, c3[2] * spacing)
+    for cell in map(tuple, cells):
+        i, j, k = _padded(cell)
+        out[cell] = (i * spacing, j * spacing, k * spacing)
     return out
 
 

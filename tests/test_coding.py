@@ -185,8 +185,8 @@ def test_lattice_rejects_cells_that_coincide_after_padding():
         LatticeMultivector({(0, 0): mv, (0, 0, 0): mv})
     with pytest.raises(ValueError, match=r"cells \(2,\) and \(2, 0\)"):
         LatticeMultivector({2: mv, (2, 0): mv})
-    with pytest.raises(ValueError, match="same cell"):
-        LatticeMultivector({(1, 0): mv}).set((1, 0, 0), mv)
+    replaced = LatticeMultivector({(1, 0): mv}).set((1, 0, 0), 2 * mv)
+    assert replaced == LatticeMultivector({(1, 0): 2 * mv})
     with pytest.raises(ValueError, match=r"cells \(0, 0\) and \(0, 0, 0\)"):
         lattice_from_json('{"0,0": {"000": 1}, "0,0,0": {"000": 2}}')
     # distinct cells of different lengths are fine
