@@ -43,9 +43,13 @@ def _is_int(k) -> bool:
     return type(k) is int or (isinstance(k, numbers.Integral) and not isinstance(k, bool))
 
 
+def _check_int(value, name: str) -> None:
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_dim(dim) -> None:
-    if not _is_int(dim):
-        raise ValueError(f"dimension must be an integer, got {dim!r}")
+    _check_int(dim, "dimension")
     if not 1 <= dim <= MAX_DIM:
         raise ValueError(f"dimension must be in [1, {MAX_DIM}], got {dim}")
 
@@ -59,6 +63,8 @@ def blade_product(m1: int, m2: int, dim: int) -> tuple[int, int]:
     Repeated generators annihilate with a +1 square.
     """
     _check_dim(dim)
+    _check_int(m1, "blade word")
+    _check_int(m2, "blade word")
     size = 1 << dim
     if not (0 <= m1 < size and 0 <= m2 < size):
         raise ValueError(f"blade word out of range for Cl({dim}): {m1}, {m2}")
@@ -109,6 +115,7 @@ class Multivector:
     @classmethod
     def blade(cls, word: int, dim: int, coeff: float = 1.0) -> "Multivector":
         _check_dim(dim)
+        _check_int(word, "blade word")
         if not 0 <= word < (1 << dim):
             raise ValueError(f"blade word out of range for Cl({dim}): {word}")
         arr = np.zeros(1 << dim)
@@ -119,6 +126,7 @@ class Multivector:
     def basis_vector(cls, k: int, dim: int) -> "Multivector":
         """The generator b_k, 1-based."""
         _check_dim(dim)
+        _check_int(k, "generator index")
         if not 1 <= k <= dim:
             raise ValueError(f"generator index must be in [1, {dim}], got {k}")
         return cls.blade(1 << (k - 1), dim)

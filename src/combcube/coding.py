@@ -14,7 +14,12 @@ on bits 1 and 2, and a sparse immutable lattice of dim-3 multivectors
 keyed by integer cell indices.  A lattice is stored as its sorted cell
 indices and one read-only (ncells, 8) coefficient block, row i holding
 cell i; the JSON codecs, the gates and the renderer work on the block,
-and Multivectors are built only when a cell is looked up.
+and Multivectors are built only when a cell is looked up.  A cell of 1
+to 3 indices sits at the grid place (i, j, k) it pads to with zeros.
+Every lattice comes from one builder, which rejects two cells at one
+place and keeps a place -> row index; ``get``, ``in`` and ``set`` pad
+the cell they are given and make one lookup there, so ``set`` on a
+held place replaces that row under the stored spelling.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .algebra import _INV_SQRT2, Multivector, _check_dim, _is_int
+from .algebra import _INV_SQRT2, Multivector, _check_dim, _check_int, _is_int
 
 _LATTICE_DIM = 3
 
@@ -66,6 +71,7 @@ def comb(bits) -> int:
 def comb_bits(word: int, dim: int) -> tuple[int, ...]:
     """Inverse of :func:`comb`: extract (A_1, ..., A_dim) from a blade word."""
     _check_dim(dim)
+    _check_int(word, "blade word")
     if not 0 <= word < (1 << dim):
         raise ValueError(f"blade word out of range for dimension {dim}: {word}")
     return tuple((word >> k) & 1 for k in range(dim))
@@ -302,7 +308,8 @@ def lattice_get(lat: LatticeMultivector, cell) -> Multivector:
 # -- file formats -----------------------------------------------------------
 # Coefficient tables are JSON objects {"A1A2...An": number}; lattice files
 # are JSON objects {"i,j,k": table}.  Numbers are written with 17
-# significant digits so that every float64 survives a round trip.
+# significant digits, and -0.0 as "-0.0" (JSON reads "-0" as the integer
+# 0), so that every float64 survives a round trip.
 
 
 def _unique_keys(pairs) -> dict:
@@ -327,10 +334,16 @@ def _fmt_number(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def _json_number(v: float) -> str:
+    text = format(v, ".17g")
+    return "-0.0" if text == "-0" else text
+
+
 def _table_body(coeffs: list, dim: int, indent: str) -> str:
-    """The lines of a coefficient table, in key order, without braces."""
+    """The lines of a coefficient table, in key order, without braces;
+    ``coeffs`` holds Python floats."""
     return ",\n".join([
-        f'{indent}"{key}": {_fmt_number(coeffs[word])}'
+        f'{indent}"{key}": {_json_number(coeffs[word])}'
         for key, word in _key_words(dim).items()
     ])
 

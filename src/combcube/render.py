@@ -172,13 +172,16 @@ class Scene:
         table, points, colors = [], [], []
         for el in elements:
             if isinstance(el, Polygon):
-                kind, pts, value = Polygon, el.points, el.opacity
+                kind, pts, field = Polygon, el.points, "opacity"
             elif isinstance(el, Segment):
-                kind, pts, value = Segment, (el.start, el.end), el.width
+                kind, pts, field = Segment, (el.start, el.end), "width"
             elif isinstance(el, Disc):
-                kind, pts, value = Disc, (el.center,), el.radius
+                kind, pts, field = Disc, (el.center,), "radius"
             else:
                 raise TypeError(f"unsupported scene element {type(el).__name__}")
+            value = getattr(el, field)
+            if not math.isfinite(value):
+                raise ValueError(f"{kind.__name__} {field} must be finite, got {value!r}")
             numbers = tuple(range(len(points), len(points) + len(pts)))
             table.append(_Row(kind, el.css_class, numbers, len(colors), value))
             points.extend(pts)
@@ -187,6 +190,8 @@ class Scene:
             corners = np.array(points, dtype=np.float64).reshape(1, len(points), 2)
         except ValueError:
             raise ValueError("scene points must be (x, y) pairs") from None
+        if not np.all(np.isfinite(corners)):
+            raise ValueError("scene points must be finite")
         vars(self).update(background=background, _table=tuple(table), _corners=corners,
                           _colors=[colors], elements=elements)
 

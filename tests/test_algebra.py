@@ -20,6 +20,7 @@ from combcube.algebra import (
     inner_product,
     outer_product,
 )
+from combcube.coding import comb_bits
 
 
 def reference_blade_product(m1, m2):
@@ -84,6 +85,20 @@ def test_blade_product_rejects_bad_input():
         blade_product(0, 0, 0)
     with pytest.raises(ValueError):
         blade_product(0, 0, 17)
+
+
+@pytest.mark.parametrize("call, name, value", [
+    (lambda: Multivector.blade(True, 3), "blade word", True),
+    (lambda: Multivector.blade(1.5, 3), "blade word", 1.5),
+    (lambda: Multivector.basis_vector(1.5, 3), "generator index", 1.5),
+    (lambda: Multivector.basis_vector(True, 3), "generator index", True),
+    (lambda: comb_bits(1.5, 3), "blade word", 1.5),
+    (lambda: blade_product(1.5, 2, 3), "blade word", 1.5),
+    (lambda: blade_product(1, False, 3), "blade word", False),
+])
+def test_blade_words_and_generator_indices_follow_the_integer_rule(call, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+        call()
 
 
 def test_multivector_construction():

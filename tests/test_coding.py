@@ -28,6 +28,7 @@ from combcube.coding import (
     multivector_from_json,
     multivector_to_json,
 )
+from combcube.gates import Circuit, Gate, apply_circuit, apply_circuit_lattice, teleport_network
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -318,3 +319,67 @@ def test_lattice_block_matches_per_cell_encode(entries):
     assert built._block.tobytes() == want.tobytes()
     assert lat == built
     assert lattice_from_json(lattice_to_json(lat)) == lat  # -0.0 is written as -0
+
+
+def test_json_writers_keep_the_sign_of_zero():
+    mv = Multivector([-0.0, 0.0, -0.0, 1.0, -1e-300, 0.0, -0.0, -2.5], 3)
+    text = multivector_to_json(mv)
+    assert '"000": -0.0,' in text and '"100": 0,' in text
+    assert multivector_from_json(text).coeffs.tobytes() == mv.coeffs.tobytes()
+    lat = LatticeMultivector({(0, 0): mv, (1,): -mv, (2, -1, 3): Multivector.zero(3)})
+    back = lattice_from_json(lattice_to_json(lat))
+    assert back.cell_indices() == lat.cell_indices()
+    assert back._block.tobytes() == lat._block.tobytes()
+
+
+def _spellings(place):
+    """Every way to name the grid place (i, j, k): 1 to 3 indices, or an int."""
+    out = [place]
+    if place[2] == 0:
+        out.append(place[:2])
+        if place[1] == 0:
+            out += [place[:1], place[0]]
+    return out
+
+
+def _sorted_block(ref):
+    """Sorted cells, and the bytes of their rows, of a place -> (cell, row) dict."""
+    pairs = sorted(ref.values())
+    return tuple(c for c, _ in pairs), np.array([r for _, r in pairs]).reshape(-1, 8).tobytes()
+
+
+# bounded, so that no gate overflows a coefficient
+_ROW = st.lists(st.one_of(_EXTREME, st.floats(-1e300, 1e300)), min_size=8, max_size=8)
+_CIRCUIT = st.sampled_from([
+    Circuit(()),
+    teleport_network(),
+    Circuit((Gate("X", 2), Gate("CZ", 3, 1))),
+])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.tuples(_CELL, _ROW), max_size=6), _CELL, _ROW, _CIRCUIT)
+def test_lattice_lookups_match_a_dict_keyed_by_padded_cell(entries, probe, row, circuit):
+    ref = {}  # grid place -> (stored cell, row); the first spelling of a place is kept
+    for cell, coeffs in entries:
+        ref.setdefault(cell + (0,) * (3 - len(cell)), (cell, coeffs))
+    lat = LatticeMultivector({cell: Multivector(coeffs, 3) for cell, coeffs in ref.values()})
+    assert (lat.cell_indices(), lat._block.tobytes()) == _sorted_block(ref)
+    out = apply_circuit_lattice(circuit, lat)
+    assert out.cell_indices() == lat.cell_indices()
+    zero = bytes(64)
+    for place in [*ref, probe + (0,) * (3 - len(probe))]:
+        held = place in ref
+        want = Multivector(ref[place][1], 3) if held else None
+        for spelling in _spellings(place):
+            assert (spelling in lat) is held and (spelling in out) is held
+            got = lat.get(spelling).coeffs.tobytes()
+            assert got == (want.coeffs.tobytes() if held else zero)
+            got = out.get(spelling).coeffs.tobytes()
+            assert got == (apply_circuit(circuit, want).coeffs.tobytes() if held else zero)
+            # set replaces a held place under its stored cell, or adds this spelling
+            stored = ref[place][0] if held else tuple(np.atleast_1d(spelling).tolist())
+            updated = lat.set(spelling, Multivector(row, 3))
+            assert (updated.cell_indices(), updated._block.tobytes()) == _sorted_block(
+                {**ref, place: (stored, row)})
+    assert (lat.cell_indices(), lat._block.tobytes()) == _sorted_block(ref)

@@ -451,6 +451,20 @@ def test_emitted_coordinates_and_colors_match_each_element(elements, width, heig
             ]
 
 
+@pytest.mark.parametrize("element, message", [
+    (Polygon(((0.0, 0.0), (math.nan, 1.0)), _RED, 0.8, "wall-xy"), "scene points must be finite"),
+    (Segment((0.0, 0.0), (1.0, math.inf), _RED, 3.0, "edge-x"), "scene points must be finite"),
+    (Disc((-math.inf, 0.0), 5.0, _RED, "corner"), "scene points must be finite"),
+    (Polygon(((0.0, 0.0),), _RED, math.nan, "wall-xy"), "Polygon opacity must be finite, got nan"),
+    (Segment((0.0, 0.0), (1.0, 1.0), _RED, math.inf, "edge-x"), "Segment width must be finite, got inf"),
+    (Disc((0.0, 0.0), -math.inf, _RED, "corner"), "Disc radius must be finite, got -inf"),
+])
+def test_hand_built_scenes_reject_non_finite_values(element, message):
+    good = Disc((1.0, 2.0), 5.0, _RED, "corner")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Scene(hue_to_rgb(0.75), (good, element))
+
+
 # -- the per-element reference ------------------------------------------------
 # The renderer as it was before scenes became arrays: each cube places,
 # deforms and projects its 8 corners in Python floats and builds one
