@@ -335,13 +335,12 @@ def _fmt_number(v: float) -> str:
 
 
 def _json_number(v: float) -> str:
-    text = format(v, ".17g")
+    text = _fmt_number(v)
     return "-0.0" if text == "-0" else text
 
 
 def _table_body(coeffs: list, dim: int, indent: str) -> str:
-    """The lines of a coefficient table, in key order, without braces;
-    ``coeffs`` holds Python floats."""
+    """The lines of a coefficient table, in key order, without braces."""
     return ",\n".join([
         f'{indent}"{key}": {_json_number(coeffs[word])}'
         for key, word in _key_words(dim).items()
