@@ -65,6 +65,7 @@ def blade_product(m1: int, m2: int, dim: int) -> tuple[int, int]:
     _check_dim(dim)
     _check_int(m1, "blade word")
     _check_int(m2, "blade word")
+    m1, m2 = int(m1), int(m2)
     size = 1 << dim
     if not (0 <= m1 < size and 0 <= m2 < size):
         raise ValueError(f"blade word out of range for Cl({dim}): {m1}, {m2}")
@@ -82,7 +83,9 @@ class Multivector:
     __slots__ = ("_dim", "_coeffs")
 
     def __init__(self, coeffs, dim: int | None = None):
-        arr = np.array(coeffs, dtype=np.float64).reshape(-1)
+        arr = np.array(coeffs, dtype=np.float64)
+        if arr.ndim != 1:
+            arr = arr.reshape(-1)
         if dim is None:
             if arr.size == 0 or arr.size & (arr.size - 1):
                 raise ValueError(f"coefficient count must be a power of two, got {arr.size}")
@@ -90,7 +93,7 @@ class Multivector:
         _check_dim(dim)
         if arr.size != (1 << dim):
             raise ValueError(f"expected {1 << dim} coefficients for Cl({dim}), got {arr.size}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("coefficients must be finite")
         arr.flags.writeable = False
         self._dim = int(dim)
@@ -247,14 +250,15 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     ca, cb = a.coeffs, b.coeffs
     if dim <= _ALL_PAIRS_MAX_DIM:
         idx, sign = _all_pairs(dim)
-        return Multivector(np.bincount(idx, sign * np.outer(ca, cb).ravel(), 1 << dim), dim)
+        products = np.multiply.outer(ca, cb).ravel()
+        return Multivector(np.bincount(idx, sign * products, 1 << dim), dim)
     out = np.zeros(1 << dim)
     rows, cols = np.flatnonzero(ca), np.flatnonzero(cb)
     step = max(1, _CHUNK_PAIRS // max(1, cols.size))
     for start in range(0, rows.size, step):
         i = rows[start : start + step]
         idx, sign = _pairs(i, cols, dim)
-        np.add.at(out, idx, sign * np.outer(ca[i], cb[cols]).ravel())
+        np.add.at(out, idx, sign * np.multiply.outer(ca[i], cb[cols]).ravel())
     return Multivector(out, dim)
 
 

@@ -74,6 +74,7 @@ def comb_bits(word: int, dim: int) -> tuple[int, ...]:
     _check_int(word, "blade word")
     if not 0 <= word < (1 << dim):
         raise ValueError(f"blade word out of range for dimension {dim}: {word}")
+    word = int(word)
     return tuple((word >> k) & 1 for k in range(dim))
 
 
@@ -148,12 +149,16 @@ def decode(mv: Multivector) -> dict[tuple[int, ...], float]:
     }
 
 
+_BELL_CARRIER = Multivector.blade(0b000, 3, _INV_SQRT2) + Multivector.blade(0b110, 3, _INV_SQRT2)
+
+
 def bell_carrier() -> Multivector:
-    """The entangled carrier (1 + b2 b3)/sqrt(2) on bits 2 and 3."""
-    coeffs = np.zeros(8)
-    coeffs[0b000] = _INV_SQRT2
-    coeffs[0b110] = _INV_SQRT2
-    return Multivector(coeffs, 3)
+    """The entangled carrier (1 + b2 b3)/sqrt(2) on bits 2 and 3.
+
+    The carrier is a constant: one shared Multivector, built at import
+    with read-only coefficients, is returned on every call.
+    """
+    return _BELL_CARRIER
 
 
 def bell_basis() -> tuple[Multivector, ...]:

@@ -342,6 +342,8 @@ def grid_placement(cells, spacing: float = 1.0) -> dict:
     """
     out = {}
     for cell in map(tuple, cells):
+        if not 1 <= len(cell) <= 3:
+            raise ValueError(f"cell index must hold 1 to 3 values, got {cell!r}")
         i, j, k = _padded(cell)
         out[cell] = (i * spacing, j * spacing, k * spacing)
     return out

@@ -118,6 +118,29 @@ def test_multivector_construction():
         Multivector(np.zeros(1 << 17))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_multivector_rejects_a_non_finite_value_at_every_position(bad):
+    for pos in range(8):
+        coeffs = np.zeros(8)
+        coeffs[pos] = bad
+        for given in (coeffs, coeffs.tolist(), coeffs.reshape(2, 4)):
+            with pytest.raises(ValueError, match="^coefficients must be finite$"):
+                Multivector(given, 3)
+
+
+def test_multivector_accepts_nested_and_2d_input():
+    want = np.arange(8.0)
+    for given in ([[0, 1, 2, 3], [4, 5, 6, 7]], want.reshape(2, 4), want.reshape(2, 2, 2)):
+        mv = Multivector(given)
+        assert mv.dim == 3 and mv.coeffs.shape == (8,)
+        assert mv.coeffs.tobytes() == want.tobytes()
+        assert not mv.coeffs.flags.writeable
+    src = want.reshape(2, 4).copy()
+    mv = Multivector(src, 3)
+    src[0, 0] = 9.0  # the coefficients are a copy
+    assert mv.coeffs[0] == 0.0
+
+
 def test_empty_coefficients_name_the_count():
     with pytest.raises(ValueError, match="power of two, got 0"):
         Multivector([])
@@ -127,6 +150,11 @@ def test_integer_rule_for_dimensions_and_grades():
     # numpy integers count as integers; bools and floats do not
     assert Multivector.zero(np.int64(3)).dim == 3
     assert grade_projection(Multivector.zero(3), np.int64(1)) == Multivector.zero(3)
+    # and what they give back is a plain int, as the signatures promise
+    product = blade_product(np.int64(3), 1, 3)
+    assert product == (2, -1) and all(type(v) is int for v in product)
+    bits = comb_bits(np.int8(5), 3)
+    assert bits == (1, 0, 1) and all(type(b) is int for b in bits)
     for bad in (True, 3.0):
         with pytest.raises(ValueError, match="dimension must be an integer"):
             Multivector.zero(bad)

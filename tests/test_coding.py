@@ -118,6 +118,15 @@ def test_bell_carrier_coefficients():
     assert abs(b.norm() - 1.0) <= 1e-12
 
 
+def test_bell_carrier_is_one_read_only_constant():
+    b = bell_carrier()
+    assert b is bell_carrier()
+    with pytest.raises(ValueError):
+        b.coeffs[0b000] = 0.0
+    assert b == (Multivector.scalar(1.0, 3) + Multivector.blade(0b110, 3)) / math.sqrt(2.0)
+    assert b.coeffs[0b000] == b.coeffs[0b110] == INV_SQRT2
+
+
 def test_bell_carrier_square_is_the_bivector():
     # (1 + b2b3)^2 / 2 = b2b3 since (b2b3)^2 = -1; the scalar parts cancel
     sq = geometric_product(bell_carrier(), bell_carrier())
@@ -318,7 +327,8 @@ def test_lattice_block_matches_per_cell_encode(entries):
     built = LatticeMultivector({cell: encode(table, 3) for cell, table in tables.items()})
     assert built._block.tobytes() == want.tobytes()
     assert lat == built
-    assert lattice_from_json(lattice_to_json(lat)) == lat  # -0.0 is written as -0
+    back = lattice_from_json(lattice_to_json(lat))
+    assert back == lat and back._block.tobytes() == lat._block.tobytes()
 
 
 def test_json_writers_keep_the_sign_of_zero():

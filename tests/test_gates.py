@@ -431,3 +431,27 @@ def test_teleport_network_is_one_frozen_circuit():
     assert teleport_network() is teleport_network()
     with pytest.raises(AttributeError):
         teleport_network().gates = ()
+
+
+# signed zeros, subnormals and magnitudes from 1e-300 to 1e300
+EDGE_PAYLOADS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-308, 1e-300, -1e-300,
+                 1e-150, 0.6, -0.8, 1.0, 1e150, -1e150, 1e300, -1e300)
+
+
+def test_teleport_is_bit_identical_to_the_network_on_payload_times_carrier():
+    carrier = np.zeros(8)  # built here, not taken from bell_carrier()
+    carrier[0b000] = carrier[0b110] = 1.0 / math.sqrt(2.0)
+    carrier = Multivector(carrier, 3)
+    for alpha in EDGE_PAYLOADS:
+        for beta in EDGE_PAYLOADS:
+            payload = np.zeros(8)
+            payload[0b000], payload[0b001] = alpha, beta
+            want = apply_circuit(teleport_network(),
+                                 geometric_product(Multivector(payload, 3), carrier))
+            assert teleport(alpha, beta).coeffs.tobytes() == want.coeffs.tobytes(), (alpha, beta)
+
+
+def test_teleport_still_rejects_an_overflowing_payload():
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="^coefficients must be finite$"):
+            teleport(1.5e308, 1)

@@ -7,6 +7,7 @@ trip through 8-bit hex quantization bit for bit.
 
 import collections
 import math
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -242,6 +243,14 @@ def test_grid_placement():
         (1, 3): (1.0, 3.0, 0.0),
     }
     assert grid_placement([(1, 1, 1)], spacing=2.5)[(1, 1, 1)] == (2.5, 2.5, 2.5)
+    assert grid_placement([(1.5, 2)]) == {(1.5, 2): (1.5, 2.0, 0.0)}
+
+
+@pytest.mark.parametrize("cell", [(1, 2, 3, 4), ()])
+def test_grid_placement_names_a_cell_of_the_wrong_length(cell):
+    message = f"^cell index must hold 1 to 3 values, got {re.escape(repr(cell))}$"
+    with pytest.raises(ValueError, match=message):
+        grid_placement([(0, 0), cell])
 
 
 def test_lattice_placement_validation():
