@@ -155,8 +155,8 @@ _BELL_CARRIER = Multivector.blade(0b000, 3, _INV_SQRT2) + Multivector.blade(0b11
 def bell_carrier() -> Multivector:
     """The entangled carrier (1 + b2 b3)/sqrt(2) on bits 2 and 3.
 
-    The carrier is a constant: one shared Multivector, built at import
-    with read-only coefficients, is returned on every call.
+    The carrier is a constant: every call returns the same shared,
+    immutable Multivector, built at import with read-only coefficients.
     """
     return _BELL_CARRIER
 
