@@ -84,8 +84,8 @@ class Multivector:
 
     def __init__(self, coeffs, dim: int | None = None):
         arr = np.array(coeffs, dtype=np.float64)
-        if arr.ndim != 1:
-            arr = arr.reshape(-1)
+        if arr.ndim != 1:  # a copy, so no writeable base is left under it
+            arr = arr.flatten()
         if dim is None:
             if arr.size == 0 or arr.size & (arr.size - 1):
                 raise ValueError(f"coefficient count must be a power of two, got {arr.size}")

@@ -16,7 +16,10 @@ run of X, Z, CX and CZ gates composes into one signed gather
 ``(sa * x[qa] + sb * x[qb]) / sqrt(2)``; a signed gather that is left
 over after the last H ends the stages.  Signs are exactly +-1 and the
 two H terms are added as (X part) + (Z part), so the result is
-bit-identical to applying the gates one at a time.  A non-finite value
+bit-identical to applying the gates one at a time.  Compiling reads
+per-dimension tables built once on first use (the words, and per bit
+the toggled words and the bit-set mask: 98 KiB at dim 10 and
+9.5 MiB at dim 16); nothing is cached per circuit.  A non-finite value
 made on the way carries through to the end, where the Multivector
 check, or for a lattice one check of its whole coefficient block,
 rejects it.
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -94,59 +98,73 @@ class Circuit:
 
 
 def _check_bit(dim: int, k, role: str = "target") -> int:
+    """The 0-based index of 1-based bit k, checked against dim."""
     if not _is_int(k) or not 1 <= k <= dim:
         raise ValueError(f"{role} bit must be in [1, {dim}], got {k!r}")
-    return 1 << (int(k) - 1)
+    return int(k) - 1
+
+
+@lru_cache(maxsize=None)
+def _bit_tables(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only words, and per bit index b the words with bit b toggled
+    (``toggled[b]``) and the mask of words with bit b set (``masks[b]``).
+    """
+    words = np.arange(1 << dim)
+    shifts = np.arange(dim)[:, None]
+    tables = (words, words ^ (1 << shifts), (words >> shifts) & 1 != 0)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _signs(flip):
+    """+-1.0 signs from a negation mask; None stays None (all +1)."""
+    return None if flip is None else np.where(flip, -1.0, 1.0)
 
 
 def _compile(ops, dim: int) -> tuple:
     """Stages of (kind, target, control) gate triples on 2**dim coefficients.
 
     A stage is a tuple of one or two signed-gather terms ``(q, s)``; a
-    None index or sign stands for the identity or all +1.
+    None index or sign stands for the identity or all +1.  The pending
+    gather is ``y = x[q]`` negated where the bool mask ``f`` is set;
+    ``f`` may be a table row, so it is only ever replaced, never updated
+    in place.
     """
-    words = np.arange(1 << dim)
+    words, toggled, masks = _bit_tables(dim)
     stages = []
-    q = s = None  # the pending signed gather
-    pending = 0  # gates folded into it
+    q = f = None  # the pending gather index and negation mask
+    pending = 0  # gates folded into them
     for kind, k, l in ops:
-        bit = _check_bit(dim, k)
+        b = _check_bit(dim, k)
         if kind in _CONTROLLED:
-            cbit = _check_bit(dim, l, role="control")
+            c = _check_bit(dim, l, role="control")
             if k == l:
                 raise ValueError("control and target bits must differ")
         if kind == "H":  # closes a stage: (X part) + (Z part)
-            stages.append((_then_gather(q, s, words ^ bit), (q, _then_negate(s, words & bit != 0))))
-            q, s, pending = None, None, 0
+            idx = toggled[b]
+            stages.append((
+                (idx if q is None else q[idx], None if f is None else _signs(f[idx])),
+                (q, _signs(masks[b] if f is None else f ^ masks[b])),
+            ))
+            q, f, pending = None, None, 0
             continue
         pending += 1
-        if kind == "X":
-            q, s = _then_gather(q, s, words ^ bit)
-        elif kind == "CX":
-            q, s = _then_gather(q, s, np.where(words & cbit != 0, words ^ bit, words))
-        elif kind == "Z":
-            s = _then_negate(s, words & bit != 0)
+        if kind in ("X", "CX"):
+            idx = toggled[b] if kind == "X" else np.where(masks[c], toggled[b], words)
+            q = idx if q is None else q[idx]
+            f = None if f is None else f[idx]
         else:
-            s = _then_negate(s, (words & bit != 0) & (words & cbit != 0))
+            flip = masks[b] if kind == "Z" else masks[b] & masks[c]
+            f = flip if f is None else f ^ flip
     if pending > 1:  # no single gate is the identity, but two can be
         if q is not None and np.array_equal(q, words):
             q = None
-        if s is not None and np.all(s > 0):
-            s = None
-    if q is not None or s is not None:
-        stages.append(((q, s),))
+        if f is not None and not f.any():
+            f = None
+    if q is not None or f is not None:
+        stages.append(((q, _signs(f)),))
     return tuple(stages)
-
-
-def _then_gather(q, s, idx) -> tuple:
-    """The signed gather (q, s) followed by y[idx]."""
-    return (idx if q is None else q[idx]), (None if s is None else s[idx])
-
-
-def _then_negate(s, flip):
-    """The signs s followed by negating where ``flip`` is set."""
-    sign = np.where(flip, -1.0, 1.0)
-    return sign if s is None else sign * s
 
 
 def _gather(x: np.ndarray, q, s) -> np.ndarray:

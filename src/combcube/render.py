@@ -29,7 +29,7 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .algebra import Multivector
+from .algebra import Multivector, _is_int
 from .coding import LatticeMultivector, _padded
 from .colorwheel import RgbColor, hue_to_rgb, nu_of_x, rgb_to_hex
 
@@ -338,10 +338,17 @@ def grid_placement(cells, spacing: float = 1.0) -> dict:
     """Unit-grid placement: cell (i, j, k) sits at (i, j, k) * spacing.
 
     Shorter cell indices pad with zeros, so 2-index lattices lie in the
-    x-y plane.
+    x-y plane.  A bare integer cell k is the one-index cell (k,), as in
+    a lattice.
     """
     out = {}
-    for cell in map(tuple, cells):
+    for cell in cells:
+        if _is_int(cell):
+            cell = (int(cell),)
+        try:
+            cell = tuple(cell)
+        except TypeError:
+            raise ValueError(f"cell index must be an integer or a tuple, got {cell!r}") from None
         if not 1 <= len(cell) <= 3:
             raise ValueError(f"cell index must hold 1 to 3 values, got {cell!r}")
         i, j, k = _padded(cell)

@@ -39,7 +39,9 @@ class StateVector:
     __slots__ = ("_dim", "_amps")
 
     def __init__(self, amps, dim: int | None = None):
-        arr = np.array(amps, dtype=np.float64).reshape(-1)
+        arr = np.array(amps, dtype=np.float64)
+        if arr.ndim != 1:  # a copy, so no writeable base is left under it
+            arr = arr.flatten()
         if dim is None:
             if arr.size == 0 or arr.size & (arr.size - 1):
                 raise ValueError(f"amplitude count must be a power of two, got {arr.size}")

@@ -141,6 +141,17 @@ def test_multivector_accepts_nested_and_2d_input():
     assert mv.coeffs[0] == 0.0
 
 
+def test_multivector_owns_its_coefficients():
+    # no writeable base is left under the read-only coefficients, so
+    # nothing can write a nan past the finiteness check
+    want = np.arange(8.0)
+    for given in (want, want.tolist(), [[0, 1, 2, 3], [4, 5, 6, 7]], want.reshape(2, 4)):
+        coeffs = Multivector(given, 3).coeffs
+        assert coeffs.base is None and coeffs.flags.owndata
+        assert not coeffs.flags.writeable
+        assert coeffs.tobytes() == want.tobytes()
+
+
 def test_empty_coefficients_name_the_count():
     with pytest.raises(ValueError, match="power of two, got 0"):
         Multivector([])

@@ -18,6 +18,8 @@ from combcube.gates import (
     GATE_KINDS,
     Circuit,
     Gate,
+    _bit_tables,
+    _compile,
     apply_circuit,
     apply_circuit_lattice,
     apply_cx,
@@ -455,3 +457,91 @@ def test_teleport_still_rejects_an_overflowing_payload():
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="^coefficients must be finite$"):
             teleport(1.5e308, 1)
+
+
+# -- compiled stages against one gate at a time ----------------------------
+
+
+def _one_gate_at_a_time(circuit, x):
+    """Reference: each gate on the last axis of x with its own formula."""
+    words = np.arange(x.shape[-1])
+    for gate in circuit:
+        bit = 1 << (gate.target - 1)
+        cbit = 0 if gate.control is None else 1 << (gate.control - 1)
+        if gate.kind == "X":
+            x = x.take(words ^ bit, axis=-1)
+        elif gate.kind == "CX":
+            x = x.take(np.where(words & cbit != 0, words ^ bit, words), axis=-1)
+        elif gate.kind == "Z":
+            x = np.where(words & bit != 0, -1.0, 1.0) * x
+        elif gate.kind == "CZ":
+            x = np.where((words & bit != 0) & (words & cbit != 0), -1.0, 1.0) * x
+        else:
+            x = (x.take(words ^ bit, axis=-1) + np.where(words & bit != 0, -1.0, 1.0) * x) * INV_SQRT2
+    return x
+
+
+def _edge_coeffs(rng, shape):
+    """Normal draws scaled to 1e-300..1e300, with EDGE_PAYLOADS mixed in."""
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 301, size=shape)
+    pick = rng.random(shape) < 0.3
+    x[pick] = rng.choice(EDGE_PAYLOADS, size=int(pick.sum()))
+    return x
+
+
+def _folding_circuits(dim):
+    """XX, ZZ and XZXZ on bit 1, and CX CX and CZ CZ on bits 1 and 2."""
+    circuits = [[Gate("X", 1)] * 2, [Gate("Z", 1)] * 2, [Gate("X", 1), Gate("Z", 1)] * 2]
+    if dim > 1:
+        circuits += [[Gate("CX", 2, 1)] * 2, [Gate("CZ", 1, 2)] * 2]
+    return circuits
+
+
+@pytest.mark.parametrize("dim", [*range(1, 13), 16])
+def test_compiled_circuits_match_one_gate_at_a_time_bit_for_bit(dim):
+    rng = np.random.default_rng(3000 + dim)
+    circuits = [_random_gates(rng, dim, length) for length in (1, 2, 5, 13, 24)]
+    circuits += [gates + [Gate("H", int(rng.integers(1, dim + 1)))] for gates in circuits[:3]]
+    circuits += _folding_circuits(dim)
+    for circuit in circuits:
+        coeffs = _edge_coeffs(rng, 1 << dim)
+        got = apply_circuit(circuit, Multivector(coeffs, dim)).coeffs
+        assert got.tobytes() == _one_gate_at_a_time(circuit, coeffs).tobytes(), \
+            [g.label() for g in circuit]
+
+
+def test_compiled_lattice_circuits_match_one_gate_at_a_time_bit_for_bit():
+    rng = np.random.default_rng(3100)
+    block = _edge_coeffs(rng, (24, 8))
+    lat = LatticeMultivector({(i,): Multivector(row, 3) for i, row in enumerate(block)})
+    circuits = [_random_gates(rng, 3, length) for length in (1, 2, 5, 13, 24)]
+    circuits += [gates + [Gate("H", 3)] for gates in circuits[:3]]
+    circuits += _folding_circuits(3) + [list(teleport_network())]
+    for circuit in circuits:
+        out = apply_circuit_lattice(circuit, lat)
+        want = _one_gate_at_a_time(circuit, block)
+        for i, row in enumerate(want):
+            assert out.get((i,)).coeffs.tobytes() == row.tobytes(), [g.label() for g in circuit]
+
+
+def test_gate_pairs_that_cancel_compile_to_no_stage():
+    for ops in ([("X", 2, None)] * 2, [("Z", 2, None)] * 2, [("CX", 3, 1)] * 2,
+                [("CZ", 1, 3)] * 2, [("CX", 2, 3), ("Z", 1, None)] * 2):
+        assert _compile(ops, 3) == ()
+    # X Z X Z is -1: the gather folds away, the all-minus signs stay
+    ((stage,),) = _compile([("X", 1, None), ("Z", 1, None)] * 2, 3)
+    assert stage[0] is None and np.array_equal(stage[1], -np.ones(8))
+
+
+def test_bit_tables_are_read_only_and_unchanged_by_compiling():
+    for dim in (2, 3, 10):
+        words = np.arange(1 << dim)
+        shifts = np.arange(dim)[:, None]
+        want = (words, words ^ (1 << shifts), (words >> shifts) & 1 != 0)
+        for ops in ([("Z", 1, None)] * 2, [("CZ", 1, 2), ("Z", 1, None)],
+                    [("Z", 1, None), ("H", 1, None)], [("X", 1, None), ("Z", 1, None)] * 2):
+            _compile(ops, dim)
+            for table, expected in zip(_bit_tables(dim), want):
+                assert not table.flags.writeable
+                assert table.dtype == expected.dtype
+                assert np.array_equal(table, expected)

@@ -253,6 +253,19 @@ def test_grid_placement_names_a_cell_of_the_wrong_length(cell):
         grid_placement([(0, 0), cell])
 
 
+def test_grid_placement_takes_a_bare_integer_cell_as_a_lattice_does():
+    assert grid_placement([5, np.int64(-2), (1.5, 2)]) == {
+        (5,): (5.0, 0.0, 0.0),
+        (-2,): (-2.0, 0.0, 0.0),
+        (1.5, 2): (1.5, 2.0, 0.0),
+    }
+    assert LatticeMultivector({5: Multivector.zero(3)}).cell_indices() == ((5,),)
+    for cell in (1.5, None, True):
+        message = f"^cell index must be an integer or a tuple, got {re.escape(repr(cell))}$"
+        with pytest.raises(ValueError, match=message):
+            grid_placement([(0,), cell])
+
+
 def test_lattice_placement_validation():
     lat = LatticeMultivector({(0, 0): Multivector.zero(3)})
     with pytest.raises(ValueError):

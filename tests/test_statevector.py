@@ -63,6 +63,16 @@ def test_statevector_amps_are_read_only():
         sv.amps[0] = 2.0
 
 
+def test_statevector_owns_its_amplitudes():
+    want = np.arange(8.0)
+    for given in (want, want.tolist(), [[0, 1, 2, 3], [4, 5, 6, 7]], want.reshape(2, 4)):
+        amps = StateVector(given, 3).amps
+        assert amps.base is None and amps.flags.owndata
+        assert not amps.flags.writeable
+        assert amps.tobytes() == want.tobytes()
+    assert StateVector(np.zeros(8), 3).amps.base is None
+
+
 def test_basis_gate_actions():
     x1 = sv_apply_gate(StateVector.basis(0, 3), Gate("X", 1))
     np.testing.assert_array_equal(x1.amps, StateVector.basis(1, 3).amps)
