@@ -29,7 +29,11 @@ MAX_DIM = 16
 # Products up to this dimension take every blade pair from a cached table;
 # larger ones take nonzero rows x nonzero columns, a few whole rows per step.
 _ALL_PAIRS_MAX_DIM = 5
-_CHUNK_PAIRS = 1 << 15  # most pairs per step, unless one row has more
+# Most pairs per step, unless one row has more.  Each step's index, sign
+# and product arrays are then 8192 * 8 bytes = 64 KiB, under glibc's
+# default 128 KiB mmap threshold, so they come from the heap and are not
+# mapped and unmapped on every step; np.add.at adds in the same order.
+_CHUNK_PAIRS = 1 << 13
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -52,6 +56,15 @@ def _check_dim(dim) -> None:
     _check_int(dim, "dimension")
     if not 1 <= dim <= MAX_DIM:
         raise ValueError(f"dimension must be in [1, {MAX_DIM}], got {dim}")
+
+
+def _all_finite(arr: np.ndarray) -> np.bool_:
+    """Whether every entry of ``arr`` is finite: the package's one check.
+
+    Counting the finite entries skips the Python layer of ``ndarray.all``,
+    half the cost on a few entries, and never warns on inf or nan.
+    """
+    return np.count_nonzero(np.isfinite(arr)) == arr.size
 
 
 def blade_product(m1: int, m2: int, dim: int) -> tuple[int, int]:
@@ -93,9 +106,9 @@ class Multivector:
         _check_dim(dim)
         if arr.size != (1 << dim):
             raise ValueError(f"expected {1 << dim} coefficients for Cl({dim}), got {arr.size}")
-        if not np.isfinite(arr).all():
+        if not _all_finite(arr):
             raise ValueError("coefficients must be finite")
-        arr.flags.writeable = False
+        arr.setflags(write=False)
         self._dim = int(dim)
         self._coeffs = arr
 
@@ -220,7 +233,7 @@ def _word_tables(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         masks ^= words >> shift
     tables = (grades, (-1.0) ** grades, masks)
     for table in tables:
-        table.flags.writeable = False
+        table.setflags(write=False)
     return tables
 
 
@@ -234,7 +247,8 @@ def _pairs(rows: np.ndarray, cols: np.ndarray, dim: int) -> tuple[np.ndarray, np
 def _all_pairs(dim: int) -> tuple[np.ndarray, np.ndarray]:
     words = np.arange(1 << dim)
     idx, sign = _pairs(words, words, dim)
-    idx.flags.writeable = sign.flags.writeable = False
+    idx.setflags(write=False)
+    sign.setflags(write=False)
     return idx, sign
 
 

@@ -31,7 +31,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .algebra import _INV_SQRT2, Multivector, _check_dim, _check_int, _is_int
+from .algebra import _INV_SQRT2, Multivector, _all_finite, _check_dim, _check_int, _is_int
 
 _LATTICE_DIM = 3
 
@@ -249,14 +249,14 @@ class LatticeMultivector:
         for row, i in enumerate(order):
             index[places[i]] = row
         block = block[order]
-        block.flags.writeable = False
+        block.setflags(write=False)
         self._cells, self._block, self._index = tuple([cells[i] for i in order]), block, index
         return self
 
     def _with_block(self, block: np.ndarray) -> "LatticeMultivector":
         """These cells and their index over ``block``, new finite rows in the same order."""
         lat = LatticeMultivector.__new__(LatticeMultivector)
-        block.flags.writeable = False
+        block.setflags(write=False)
         lat._cells, lat._block, lat._index = self._cells, block, self._index
         return lat
 
@@ -423,6 +423,6 @@ def lattice_from_json(text: str) -> LatticeMultivector:
         _fill(coeffs, size * len(rows), table, _LATTICE_DIM)
         rows[cell] = len(rows)
     block = np.array(coeffs)
-    if not np.all(np.isfinite(block)):
+    if not _all_finite(block):
         raise ValueError("coefficients must be finite")
     return LatticeMultivector.__new__(LatticeMultivector)._build(list(rows), block.reshape(-1, size))

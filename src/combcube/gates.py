@@ -37,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import _INV_SQRT2, Multivector, _is_int, geometric_product
+from .algebra import _INV_SQRT2, Multivector, _all_finite, _is_int, geometric_product
 from .coding import _LATTICE_DIM, LatticeMultivector, _load_json, bell_carrier
 
 GATE_KINDS = ("X", "Z", "H", "CX", "CZ")
@@ -113,7 +113,7 @@ def _bit_tables(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     shifts = np.arange(dim)[:, None]
     tables = (words, words ^ (1 << shifts), (words >> shifts) & 1 != 0)
     for table in tables:
-        table.flags.writeable = False
+        table.setflags(write=False)
     return tables
 
 
@@ -167,18 +167,22 @@ def _compile(ops, dim: int) -> tuple:
     return tuple(stages)
 
 
-def _gather(x: np.ndarray, q, s) -> np.ndarray:
-    y = x if q is None else x.take(q, axis=-1)
-    return y if s is None else s * y
-
-
 def _run(stages, x: np.ndarray) -> np.ndarray:
-    """Run compiled stages on the last axis of ``x``."""
+    """Run compiled stages on the last axis of ``x``.
+
+    Each term ``(q, s)`` is the signed gather ``s * x[q]``; a stage of
+    two terms is (X part + Z part) / sqrt(2).
+    """
     for stage in stages:
-        if len(stage) == 1:
-            x = _gather(x, *stage[0])
-        else:
-            x = (_gather(x, *stage[0]) + _gather(x, *stage[1])) * _INV_SQRT2
+        q, s = stage[0]
+        y = x if q is None else x.take(q, axis=-1)
+        if s is not None:
+            y = s * y
+        if len(stage) == 2:
+            q, s = stage[1]
+            z = x if q is None else x.take(q, axis=-1)
+            y = (y + (z if s is None else s * z)) * _INV_SQRT2
+        x = y
     return x
 
 
@@ -231,7 +235,7 @@ def apply_circuit_lattice(circuit, lat: LatticeMultivector) -> LatticeMultivecto
     if not isinstance(lat, LatticeMultivector):
         raise TypeError("expected a LatticeMultivector")
     out = _run(_compile([_op(gate) for gate in circuit], _LATTICE_DIM), lat._block)
-    if not np.all(np.isfinite(out)):
+    if not _all_finite(out):
         raise ValueError("coefficients must be finite")
     return lat._with_block(out)
 

@@ -23,13 +23,14 @@ distinct coordinate is formatted once.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import FrozenInstanceError, dataclass, fields
 from functools import cached_property
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .algebra import Multivector, _is_int
+from .algebra import Multivector, _all_finite, _is_int
 from .coding import LatticeMultivector, _padded
 from .colorwheel import RgbColor, hue_to_rgb, nu_of_x, rgb_to_hex
 
@@ -190,7 +191,7 @@ class Scene:
             corners = np.array(points, dtype=np.float64).reshape(1, len(points), 2)
         except ValueError:
             raise ValueError("scene points must be (x, y) pairs") from None
-        if not np.all(np.isfinite(corners)):
+        if not _all_finite(corners):
             raise ValueError("scene points must be finite")
         vars(self).update(background=background, _table=tuple(table), _corners=corners,
                           _colors=[colors], elements=elements)
@@ -319,7 +320,7 @@ def _cubes(block: np.ndarray, offsets: np.ndarray, style: CubeStyle, deformation
     e = float(style.edge)
     x, y, z = world[..., 0], world[..., 1], world[..., 2]
     corners = np.stack([e * (x + fx * y), -e * (z + fy * y)], axis=-1)
-    if not np.all(np.isfinite(corners)):
+    if not _all_finite(corners):
         raise ValueError("cube corners must be finite after placement and deformation")
     return Scene._from_arrays(hue_to_rgb(style.background), _cube_table(style), corners, colors)
 
@@ -339,18 +340,19 @@ def grid_placement(cells, spacing: float = 1.0) -> dict:
 
     Shorter cell indices pad with zeros, so 2-index lattices lie in the
     x-y plane.  A bare integer cell k is the one-index cell (k,), as in
-    a lattice.
+    a lattice.  Indices may be any real numbers, such as (1.5, 2).
     """
     out = {}
-    for cell in cells:
-        if _is_int(cell):
-            cell = (int(cell),)
+    for given in cells:
+        cell = (int(given),) if _is_int(given) else given
         try:
             cell = tuple(cell)
         except TypeError:
-            raise ValueError(f"cell index must be an integer or a tuple, got {cell!r}") from None
+            raise ValueError(f"cell index must be an integer or a tuple, got {given!r}") from None
         if not 1 <= len(cell) <= 3:
             raise ValueError(f"cell index must hold 1 to 3 values, got {cell!r}")
+        if not all(isinstance(p, numbers.Real) for p in cell):
+            raise ValueError(f"cell index must hold numbers, got {given!r}")
         i, j, k = _padded(cell)
         out[cell] = (i * spacing, j * spacing, k * spacing)
     return out

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import _INV_SQRT2, Multivector, _is_int
+from .algebra import _INV_SQRT2, Multivector, _all_finite, _is_int
 from .gates import Gate, teleport_network
 
 _MATRICES = {
@@ -49,9 +49,9 @@ class StateVector:
         dim = _check_dim(dim)
         if arr.size != (1 << dim):
             raise ValueError(f"expected {1 << dim} amplitudes, got {arr.size}")
-        if not np.all(np.isfinite(arr)):
+        if not _all_finite(arr):
             raise ValueError("amplitudes must be finite")
-        arr.flags.writeable = False
+        arr.setflags(write=False)
         self._dim = dim
         self._amps = arr
 

@@ -382,6 +382,19 @@ def test_oracle_cases_reach_every_path_of_the_product():
     )
 
 
+@pytest.mark.parametrize("chunk_pairs", [1, 1 << 10, 1 << 15, 1 << 20])
+def test_product_bits_do_not_depend_on_the_chunk_size(monkeypatch, chunk_pairs):
+    # np.add.at adds every chunk's terms in i-major order, so how the
+    # pairs are cut into steps changes no bit of the sum
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=1 << 9) * 10.0 ** rng.integers(-300, 300, 1 << 9)
+    b = rng.normal(size=1 << 9)
+    a[rng.choice(a.size, 200, replace=False)] = 0.0
+    want = geometric_product(Multivector(a), Multivector(b)).coeffs.tobytes()
+    monkeypatch.setattr(algebra, "_CHUNK_PAIRS", chunk_pairs)
+    assert geometric_product(Multivector(a), Multivector(b)).coeffs.tobytes() == want
+
+
 def test_product_with_a_row_longer_than_a_chunk():
     # one blade against more nonzero columns than a chunk holds: each
     # output word gets exactly one term, so sampled words check it exactly

@@ -266,6 +266,15 @@ def test_grid_placement_takes_a_bare_integer_cell_as_a_lattice_does():
             grid_placement([(0,), cell])
 
 
+@pytest.mark.parametrize("cell", ["ab", (None, 1), (0, "1", 2), ("a",), (1j,)])
+def test_grid_placement_names_a_cell_of_non_numbers(cell):
+    message = f"^cell index must hold numbers, got {re.escape(repr(cell))}$"
+    for spacing in (1.0, 2):  # an int spacing would repeat a string index
+        with pytest.raises(ValueError, match=message):
+            grid_placement([(0,), cell], spacing)
+    assert grid_placement([(np.float64(0.5), np.int32(1))]) == {(0.5, 1): (0.5, 1.0, 0.0)}
+
+
 def test_lattice_placement_validation():
     lat = LatticeMultivector({(0, 0): Multivector.zero(3)})
     with pytest.raises(ValueError):
