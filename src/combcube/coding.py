@@ -20,6 +20,13 @@ Every lattice comes from one builder, which rejects two cells at one
 place and keeps a place -> row index; ``get``, ``in`` and ``set`` pad
 the cell they are given and make one lookup there, so ``set`` on a
 held place replaces that row under the stored spelling.
+
+The lattice reader checks each cell key and table in file order.  The
+common case is recognised by exact type first: a key that parses to
+plain ints needs only its length and range checked, and a table whose
+keys are all canonical and whose values are all floats is copied
+without the per-value checks.  Anything else takes the full checks of
+:func:`encode`, so every message is the same either way.
 """
 
 from __future__ import annotations
@@ -121,6 +128,13 @@ def _fill(out: list, start: int, table: Mapping, dim: int) -> None:
     left for the caller to reject.
     """
     words = _key_words(dim)
+    if (type(table) is dict and all([type(v) is float for v in table.values()])
+            and words.keys() >= table.keys()):
+        # The common case, checked by exact type: a dict's canonical text
+        # keys name distinct combs, and a float needs no conversion.
+        for key, value in table.items():
+            out[start + words[key]] = value
+        return
     seen = set()
     for key, value in table.items():
         word = words.get(key) if isinstance(key, str) else None
@@ -178,16 +192,26 @@ def bell_basis() -> tuple[Multivector, ...]:
 
 
 def _as_cell(cell) -> tuple[int, ...]:
-    if _is_int(cell):
-        return (int(cell),)
-    try:
-        parts = tuple(cell)
-    except TypeError:
-        raise ValueError(f"cell index must be an integer or a tuple, got {cell!r}")
-    if not 1 <= len(parts) <= 3 or not all(_is_int(p) for p in parts):
+    """A checked cell index: 1 to 3 integers, each within +-MAX_CELL_INDEX.
+
+    A tuple of plain ints, what ``key_to_cell`` and most callers pass, is
+    recognised by exact type before any abstract-class check.
+    """
+    if type(cell) is tuple and all([type(p) is int for p in cell]):
+        parts = cell
+    elif _is_int(cell):
+        parts = (int(cell),)
+    else:
+        try:
+            parts = tuple(cell)
+        except TypeError:
+            raise ValueError(f"cell index must be an integer or a tuple, got {cell!r}")
+        if not all(_is_int(p) for p in parts):
+            raise ValueError(f"cell index must hold 1 to 3 integers, got {cell!r}")
+        parts = tuple(int(p) for p in parts)
+    if not 1 <= len(parts) <= 3:
         raise ValueError(f"cell index must hold 1 to 3 integers, got {cell!r}")
-    parts = tuple(int(p) for p in parts)
-    if not all(-MAX_CELL_INDEX <= p <= MAX_CELL_INDEX for p in parts):
+    if max(map(abs, parts)) > MAX_CELL_INDEX:
         raise ValueError(
             f"cell index {parts} out of range: each index must lie in "
             f"[-{MAX_CELL_INDEX}, {MAX_CELL_INDEX}]")
@@ -383,7 +407,7 @@ def key_to_cell(key: str) -> tuple[int, ...]:
     if not isinstance(key, str) or not key:
         raise ValueError(f"cell key must be a non-empty string, got {key!r}")
     try:
-        parts = tuple(int(p) for p in key.split(","))
+        parts = tuple(map(int, key.split(",")))
     except ValueError:
         raise ValueError(f"cell key must be comma-separated integers, got {key!r}")
     return _as_cell(parts)

@@ -105,14 +105,10 @@ _HEX_BYTE = tuple(f"{i:02X}" for i in range(256))
 
 
 def rgb_to_hex(color) -> str:
-    """8-bit #RRGGBB form, channels scaled by 255 and rounded half up."""
+    """8-bit #RRGGBB form: each channel clamped to [0, 1], nan reading as
+    0, then scaled by 255 and rounded half up."""
     r, g, b = color
-    return "#" + _HEX_BYTE[_channel(r)] + _HEX_BYTE[_channel(g)] + _HEX_BYTE[_channel(b)]
-
-
-def _channel(v) -> int:
-    """Clamp to [0, 1], nan reading as 0, and scale to 0..255 half up."""
-    v = float(v)
-    if 0.0 < v < 1.0:
-        return int(v * 255.0 + 0.5)
-    return 255 if v >= 1.0 else 0
+    r, g, b = float(r), float(g), float(b)
+    return ("#" + _HEX_BYTE[int(r * 255.0 + 0.5) if 0.0 < r < 1.0 else 255 if r >= 1.0 else 0]
+            + _HEX_BYTE[int(g * 255.0 + 0.5) if 0.0 < g < 1.0 else 255 if g >= 1.0 else 0]
+            + _HEX_BYTE[int(b * 255.0 + 0.5) if 0.0 < b < 1.0 else 255 if b >= 1.0 else 0])

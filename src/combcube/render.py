@@ -13,8 +13,11 @@ interior body); representative mode draws one element per class.  Both
 modes are one element table each: rows of (kind, class, corner
 numbers) in paint order.  A cube's 8 corners are offset, deformed and
 projected once, its 8 class colors are computed once, and every row
-picks its points and its color from those.  The projection is oblique:
-x right, z up, y receding at a fixed angle with fixed foreshortening.
+picks its points and its color from those.  Deformation is one pass
+over every corner of the scene: one call per corner, then a single
+conversion of all the results to floats and one shape check.  The
+projection is oblique: x right, z up, y receding at a fixed angle with
+fixed foreshortening.
 Scenes list their primitives back to front, so emission is a single
 pass and byte-identical for identical inputs; within one emission each
 distinct coordinate is formatted once.
@@ -289,13 +292,6 @@ def _cube_table(style: CubeStyle) -> tuple:
     )
 
 
-def _deformed(deformation: Callable, p) -> tuple:
-    q = tuple(map(float, deformation(tuple(p))))
-    if len(q) != 3:
-        raise ValueError("deformation must return a 3-point")
-    return q
-
-
 def _cubes(block: np.ndarray, offsets: np.ndarray, style: CubeStyle, deformation) -> Scene:
     """One cube per row of the (n, 8) coefficient ``block``, offset by the
     matching row of ``offsets`` (n, 3): every scene's one builder.
@@ -311,9 +307,16 @@ def _cubes(block: np.ndarray, offsets: np.ndarray, style: CubeStyle, deformation
     colors = [[hues[c] for c in row] for row in block[order].tolist()]
     world = offsets[order][:, None, :] + _UNIT_CUBE
     if deformation is not None:
-        world = np.array(
-            [_deformed(deformation, p) for p in world.reshape(-1, 3).tolist()]
-        ).reshape(world.shape)
+        moved = [deformation(p) for p in map(tuple, world.reshape(-1, 3).tolist())]
+        try:
+            points = np.array(moved, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            points = None
+        # numpy reads None as nan, so a result that is not finite is searched for one
+        if points is None or points.shape != (len(moved), 3) or (
+                not _all_finite(points) and any(None in q for q in moved)):
+            raise ValueError("deformation must return a 3-point")
+        world = points.reshape(world.shape)
     theta = math.radians(style.angle_deg)
     fx = style.foreshortening * math.cos(theta)
     fy = style.foreshortening * math.sin(theta)
@@ -340,18 +343,27 @@ def grid_placement(cells, spacing: float = 1.0) -> dict:
 
     Shorter cell indices pad with zeros, so 2-index lattices lie in the
     x-y plane.  A bare integer cell k is the one-index cell (k,), as in
-    a lattice.  Indices may be any real numbers, such as (1.5, 2).
+    a lattice.  Indices may be any real numbers, such as (1.5, 2), and
+    ``spacing`` any finite real number a float can hold.
     """
+    try:
+        finite = (isinstance(spacing, numbers.Real) and not isinstance(spacing, bool)
+                  and math.isfinite(spacing))
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"spacing must be a finite real number, got {spacing!r}")
     out = {}
     for given in cells:
-        cell = (int(given),) if _is_int(given) else given
+        cell = given if type(given) is tuple else (int(given),) if _is_int(given) else given
         try:
             cell = tuple(cell)
         except TypeError:
             raise ValueError(f"cell index must be an integer or a tuple, got {given!r}") from None
         if not 1 <= len(cell) <= 3:
             raise ValueError(f"cell index must hold 1 to 3 values, got {cell!r}")
-        if not all(isinstance(p, numbers.Real) for p in cell):
+        # plain ints, the common case, skip the abstract-class check
+        if not all([type(p) is int or isinstance(p, numbers.Real) for p in cell]):
             raise ValueError(f"cell index must hold numbers, got {given!r}")
         i, j, k = _padded(cell)
         out[cell] = (i * spacing, j * spacing, k * spacing)
@@ -395,7 +407,7 @@ def lattice_scene(
     for cell in cells:
         if cell not in placement:
             raise ValueError(f"placement missing cell {cell}")
-        off = tuple(float(c) for c in placement[cell])
+        off = tuple(map(float, placement[cell]))
         if len(off) == 2:
             off = (off[0], off[1], 0.0)
         if len(off) != 3:

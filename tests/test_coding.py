@@ -392,3 +392,96 @@ def test_lattice_lookups_match_a_dict_keyed_by_padded_cell(entries, probe, row, 
             assert (updated.cell_indices(), updated._block.tobytes()) == _sorted_block(
                 {**ref, place: (stored, row)})
     assert (lat.cell_indices(), lat._block.tobytes()) == _sorted_block(ref)
+
+
+# -- reader parity --------------------------------------------------------------
+# The reader recognises plain-int cells and float-valued canonical tables by
+# exact type before the full checks; these pin the full checks' exception
+# type and exact message on the inputs that leave the common case.
+
+_HUGE = "1" + "0" * 400
+
+
+def _raises_exactly(message, fn, *args):
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"0,0": {"000": true}}', "coefficient for '000' must be a real number"),
+    ('{"0,0": {"010": "1.5"}}', "coefficient for '010' must be a real number"),
+    ('{"0,0": {"100": 0.5, "001": ' + _HUGE + "}}", "coefficient for '001' must be finite"),
+    ('{"0,0": {"000": NaN}}', "coefficients must be finite"),
+    ('{"0,0": {"0000": 1.0}}', "expected 3 bits, got 4 in '0000'"),
+    ('{"1,2,3,4": {"000": 1.0}}', "cell index must hold 1 to 3 integers, got (1, 2, 3, 4)"),
+    ('{"2147483648": {"000": 1.0}}',
+     "cell index (2147483648,) out of range: each index must lie in [-2147483647, 2147483647]"),
+    # the first bad cell in file order is the one reported
+    ('{"0,0": {"000": true}, "x": {"000": 1.0}}', "coefficient for '000' must be a real number"),
+    ('{"x": {"000": 1.0}, "0,0": {"000": true}}',
+     "cell key must be comma-separated integers, got 'x'"),
+    ('{"0,0": {"000": 1.0}, "1": {"111": false}, "0": {"000": 1.0}}',
+     "coefficient for '111' must be a real number"),
+])
+def test_lattice_reader_messages_are_pinned(text, message):
+    _raises_exactly(message, lattice_from_json, text)
+
+
+@pytest.mark.parametrize("table, message", [
+    ({"000": True}, "coefficient for '000' must be a real number"),
+    ({"010": "1.5"}, "coefficient for '010' must be a real number"),
+    ({"001": 10**400}, "coefficient for '001' must be finite"),
+    ({"000": math.nan}, "coefficients must be finite"),
+    ({"100": 1.0, (1, 0, 0): 2.0}, "duplicate comb key '100'"),
+    ({(1, 0, 0): 2.0, "100": 1.0}, "duplicate comb key '100'"),
+    ({"10": 1.0}, "expected 3 bits, got 2 in '10'"),
+    ({(1, 0): 1.0}, "expected 3 bits, got 2 in (1, 0)"),
+])
+def test_encode_messages_are_pinned(table, message):
+    _raises_exactly(message, encode, table, 3)
+
+
+@pytest.mark.parametrize("key, cell", [
+    ("1_0", (10,)), (" 2", (2,)), ("+3", (3,)), ("-0", (0,)), ("1, 2", (1, 2)),
+])
+def test_key_to_cell_reads_each_index_as_int_does(key, cell):
+    assert key_to_cell(key) == cell
+
+
+@pytest.mark.parametrize("key, message", [
+    ("1,2,3,4", "cell index must hold 1 to 3 integers, got (1, 2, 3, 4)"),
+    ("2147483648",
+     "cell index (2147483648,) out of range: each index must lie in [-2147483647, 2147483647]"),
+    ("", "cell key must be a non-empty string, got ''"),
+    ("1,,2", "cell key must be comma-separated integers, got '1,,2'"),
+    ("1.5", "cell key must be comma-separated integers, got '1.5'"),
+    (5, "cell key must be a non-empty string, got 5"),
+])
+def test_key_to_cell_messages_are_pinned(key, message):
+    _raises_exactly(message, key_to_cell, key)
+
+
+def test_a_bare_integer_cell_is_range_checked():
+    mv = Multivector.scalar(1.0, 3)
+    for cell in (MAX_CELL_INDEX + 1, -MAX_CELL_INDEX - 1, np.int64(2**40)):
+        _raises_exactly(
+            f"cell index ({int(cell)},) out of range: each index must lie in "
+            f"[-{MAX_CELL_INDEX}, {MAX_CELL_INDEX}]", LatticeMultivector, {cell: mv})
+    assert LatticeMultivector({-MAX_CELL_INDEX: mv}).cell_indices() == ((-MAX_CELL_INDEX,),)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.sampled_from(_KEYS), _COEFF))
+def test_float_tables_read_as_the_full_checks_read_them(table):
+    # bit-tuple keys, and ints for the integral values an int holds exactly
+    # (not -0.0), take the full checks
+    spelled = {tuple(map(int, key)): int(v) if v and v.is_integer() and abs(v) < 2**53 else v
+               for key, v in table.items()}
+    want = encode(spelled, 3).coeffs.tobytes()
+    assert encode(table, 3).coeffs.tobytes() == want
+    lat = lattice_from_json(json.dumps({"0,1": table, "2": {}}))
+    assert lat.cell_indices() == ((0, 1), (2,))
+    assert lat._block[0].tobytes() == want
+    assert not lat._block[1].any()

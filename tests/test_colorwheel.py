@@ -8,6 +8,7 @@ trusting the closed forms under test.
 
 import colorsys
 import math
+import re
 
 import numpy as np
 import pytest
@@ -217,6 +218,60 @@ def test_rgb_to_hex_channel_matches_clamp_then_round(v):
     want = int(min(1.0, max(0.0, float(v))) * 255.0 + 0.5)
     assert rgb_to_hex((v, 0.0, 1.0)) == f"#{want:02X}00FF"
     assert rgb_to_hex((1.0, v, v)) == f"#FF{want:02X}{want:02X}"
+
+
+def _channel_before_inlining(v) -> int:
+    """The per-channel helper rgb_to_hex called before its formula was inlined."""
+    v = float(v)
+    if 0.0 < v < 1.0:
+        return int(v * 255.0 + 0.5)
+    return 255 if v >= 1.0 else 0
+
+
+def _hex_before_inlining(color) -> str:
+    r, g, b = color
+    return "#" + "".join(f"{_channel_before_inlining(v):02X}" for v in (r, g, b))
+
+
+# (k - 0.5)/255 is where channel value k - 1 rounds up to k: each boundary
+# and its neighbours one ulp either side
+_HALF_UP_BOUNDARIES = [
+    v for k in range(1, 256)
+    for b in [(k - 0.5) / 255.0]
+    for v in (math.nextafter(b, -math.inf), b, math.nextafter(b, math.inf))
+]
+_CHANNEL_VALUE = st.one_of(
+    st.floats(allow_subnormal=True),  # nan and both infinities included
+    st.floats(-1e-300, 1e-300),
+    st.floats(0.0, 1.0),
+    st.integers(-(2**64), 2**64),
+    st.floats(allow_nan=True).map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.sampled_from(_HALF_UP_BOUNDARIES),
+    st.sampled_from(["0.25", "1e-3", "nan", "-inf"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CHANNEL_VALUE, _CHANNEL_VALUE, _CHANNEL_VALUE)
+def test_rgb_to_hex_matches_the_per_channel_formula(r, g, b):
+    assert rgb_to_hex((r, g, b)) == _hex_before_inlining((r, g, b))
+    assert rgb_to_hex(RgbColor(r, g, b)) == _hex_before_inlining((r, g, b))
+
+
+def test_rgb_to_hex_matches_the_per_channel_formula_at_every_half_up_boundary():
+    for v in _HALF_UP_BOUNDARIES:
+        for color in ((v, 0.0, 1.0), (1.0, v, 0.0), (0.0, 1.0, v)):
+            assert rgb_to_hex(color) == _hex_before_inlining(color)
+
+
+@pytest.mark.parametrize("color", [("x", 0.0, 0.0), (0.0, None, 0.0), (0.0, 0.0, 1j),
+                                   (0.0, 0.0), (0.0, 0.0, 0.0, 0.0)])
+def test_rgb_to_hex_raises_as_the_per_channel_formula_does(color):
+    with pytest.raises(Exception) as want:
+        _hex_before_inlining(color)
+    with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+        rgb_to_hex(color)
 
 
 def test_frozen_display_hexes():

@@ -275,6 +275,23 @@ def test_grid_placement_names_a_cell_of_non_numbers(cell):
     assert grid_placement([(np.float64(0.5), np.int32(1))]) == {(0.5, 1): (0.5, 1.0, 0.0)}
 
 
+@pytest.mark.parametrize("spacing", ["x", math.nan, math.inf, -math.inf, True, None, 1j, 10**400])
+def test_grid_placement_rejects_a_spacing_that_is_not_a_finite_real(spacing):
+    message = f"^spacing must be a finite real number, got {re.escape(repr(spacing))}$"
+    for cells in ([(1, 2)], []):
+        with pytest.raises(ValueError, match=message):
+            grid_placement(cells, spacing)
+
+
+def test_grid_placement_takes_an_int_spacing():
+    assert grid_placement([(1, 2), 3], spacing=2) == {(1, 2): (2, 4, 0), (3,): (6, 0, 0)}
+    assert grid_placement([(1, 2)], spacing=np.float32(0.5)) == {(1, 2): (0.5, 1.0, 0.0)}
+    lat = LatticeMultivector({(1, 2): _example_mv(), (0, 3): _example_mv()})
+    cells = lat.cell_indices()
+    assert (lattice_scene(lat, placement=grid_placement(cells, 3))
+            == lattice_scene(lat, placement=grid_placement(cells, 3.0)))
+
+
 def test_lattice_placement_validation():
     lat = LatticeMultivector({(0, 0): Multivector.zero(3)})
     with pytest.raises(ValueError):
@@ -298,6 +315,33 @@ def test_deformation_must_return_points():
     lat = LatticeMultivector({(0,): Multivector.zero(3)})
     with pytest.raises(ValueError):
         lattice_scene(lat, deformation=lambda p: (p[0], p[1]))
+
+
+def test_a_deformation_may_return_any_3_sequence():
+    lat = LatticeMultivector({cell: _example_mv() for cell in [(0, 0), (2, 1), (1, 3, 1)]})
+    warp = sine_warp()
+    want = lattice_scene(lat, deformation=warp)
+    for wrap in (list, np.array):
+        got = lattice_scene(lat, deformation=lambda p: wrap(warp(p)))
+        assert got._corners.tobytes() == want._corners.tobytes()
+        assert got == want
+
+
+@pytest.mark.parametrize("deformation", [
+    lambda p: (p[0], p[1]),
+    lambda p: (p[0], p[1], p[2], 1.0),
+    lambda p: (p[0], None, p[2]),
+    lambda p: (p[0], p[1], None if p[0] > 1 else p[2]),  # the second cube only
+    lambda p: (p[0], "north", p[2]),
+    lambda p: (p[0], p[1], 10**400),
+    lambda p: [p],
+    lambda p: (p[0], p[1], 1j),
+    lambda p: (p[0], p[1], (p[2],)) if p[0] > 1 else p,
+])
+def test_a_deformation_that_returns_no_3_point_is_named(deformation):
+    lat = LatticeMultivector({(0,): _example_mv(), (1,): _example_mv()})
+    with pytest.raises(ValueError, match="^deformation must return a 3-point$"):
+        lattice_scene(lat, deformation=deformation)
 
 
 @pytest.mark.parametrize("mode", ["redundant", "representative"])
