@@ -14,6 +14,10 @@ independently.  In closed form, blade i times blade j has sign
 (-1)**popcount(j & P(i)), where bit k of P(i) is the parity of
 popcount(i >> (k+1)); see the bitmap blades of Dorst, Fontijne & Mann,
 Geometric Algebra for Computer Science (2007), ch. 19.
+
+Every module checks its input with the rules kept here: integers
+(``_is_int``, ``_check_int``), reals (``_is_real``, ``_as_float``,
+``_check_real``) and array finiteness (``_all_finite``).
 """
 
 from __future__ import annotations
@@ -50,6 +54,30 @@ def _is_int(k) -> bool:
 def _check_int(value, name: str) -> None:
     if not _is_int(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _is_real(v) -> bool:
+    """The package's real-number rule: any numbers.Real except bool.  Plain
+    floats and ints skip the abstract-class check (about half a microsecond)."""
+    return type(v) in (float, int) or (isinstance(v, numbers.Real) and not isinstance(v, bool))
+
+
+def _as_float(value, name: str) -> float:
+    """A real ``value`` as a float (an int past the float range is +-inf), else a ValueError."""
+    if type(value) not in (float, int) and not _is_real(value):  # plain numbers skip a call
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _check_real(value, name: str) -> float:
+    """A real ``value`` as a finite float, else a ValueError naming ``name``."""
+    x = value if type(value) is float else _as_float(value, name)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x!r}")
+    return x
 
 
 def _check_dim(dim) -> None:

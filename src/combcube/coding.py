@@ -32,13 +32,12 @@ without the per-value checks.  Anything else takes the full checks of
 from __future__ import annotations
 
 import json
-import numbers
 from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
 
-from .algebra import _INV_SQRT2, Multivector, _all_finite, _check_dim, _check_int, _is_int
+from .algebra import _INV_SQRT2, Multivector, _all_finite, _check_dim, _check_int, _is_int, _is_real
 
 _LATTICE_DIM = 3
 
@@ -88,11 +87,6 @@ def comb_bits(word: int, dim: int) -> tuple[int, ...]:
 def bits_to_key(bits) -> str:
     """Canonical text key "A1A2...An" for a bit string."""
     return "".join(str(b) for b in _as_bits(bits))
-
-
-def _is_real(v) -> bool:
-    """Any numbers.Real except bool; plain floats skip the abstract-class check."""
-    return type(v) is float or (isinstance(v, numbers.Real) and not isinstance(v, bool))
 
 
 @lru_cache(maxsize=None)

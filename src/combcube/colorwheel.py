@@ -28,6 +28,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from .algebra import _as_float, _check_real
+
 POLE_NU = 0.25
 POLE_TOLERANCE = 1e-12
 
@@ -41,11 +43,8 @@ class RgbColor(NamedTuple):
 
 
 def _check_nu(nu) -> float:
-    try:
-        nu = float(nu)
-    except (TypeError, ValueError):
-        raise ValueError(f"hue must be a real number, got {nu!r}")
-    if not math.isfinite(nu) or not 0.0 <= nu < 1.0:
+    nu = _as_float(nu, "hue")
+    if not 0.0 <= nu < 1.0:
         raise ValueError(f"hue must lie in [0, 1), got {nu!r}")
     return nu
 
@@ -58,12 +57,7 @@ def nu_of_x(x: float) -> float:
     hues float-indistinguishable from 1/4; that is the designed limit
     behavior, not an error.
     """
-    try:
-        x = float(x)
-    except (TypeError, ValueError):
-        raise ValueError(f"value must be a real number, got {x!r}")
-    if not math.isfinite(x):
-        raise ValueError(f"value must be finite, got {x!r}")
+    x = _check_real(x, "value")
     nu = 0.25 - math.atan2(1.0, x) / math.pi
     if nu < 0.0:
         nu += 1.0

@@ -37,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import _INV_SQRT2, Multivector, _all_finite, _is_int, geometric_product
+from .algebra import _INV_SQRT2, Multivector, _all_finite, _as_float, _is_int, geometric_product
 from .coding import _LATTICE_DIM, LatticeMultivector, _load_json, bell_carrier
 
 GATE_KINDS = ("X", "Z", "H", "CX", "CZ")
@@ -134,7 +134,6 @@ def _compile(ops, dim: int) -> tuple:
     words, toggled, masks = _bit_tables(dim)
     stages = []
     q = f = None  # the pending gather index and negation mask
-    pending = 0  # gates folded into them
     for kind, k, l in ops:
         b = _check_bit(dim, k)
         if kind in _CONTROLLED:
@@ -147,9 +146,8 @@ def _compile(ops, dim: int) -> tuple:
                 (idx if q is None else q[idx], None if f is None else _signs(f[idx])),
                 (q, _signs(masks[b] if f is None else f ^ masks[b])),
             ))
-            q, f, pending = None, None, 0
+            q = f = None
             continue
-        pending += 1
         if kind in ("X", "CX"):
             idx = toggled[b] if kind == "X" else np.where(masks[c], toggled[b], words)
             q = idx if q is None else q[idx]
@@ -157,11 +155,6 @@ def _compile(ops, dim: int) -> tuple:
         else:
             flip = masks[b] if kind == "Z" else masks[b] & masks[c]
             f = flip if f is None else f ^ flip
-    if pending > 1:  # no single gate is the identity, but two can be
-        if q is not None and np.array_equal(q, words):
-            q = None
-        if f is not None and not f.any():
-            f = None
     if q is not None or f is not None:
         stages.append(((q, _signs(f)),))
     return tuple(stages)
@@ -271,8 +264,8 @@ def teleport(alpha: float, beta: float) -> Multivector:
     rounding, with no scaling residue.
     """
     payload = np.zeros(8)
-    payload[0b000] = float(alpha)
-    payload[0b001] = float(beta)
+    payload[0b000] = _as_float(alpha, "alpha")
+    payload[0b001] = _as_float(beta, "beta")
     state = geometric_product(Multivector(payload, 3), bell_carrier())
     return Multivector(_run(_TELEPORT_STAGES, state.coeffs), 3)
 

@@ -26,14 +26,13 @@ distinct coordinate is formatted once.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import FrozenInstanceError, dataclass, fields
 from functools import cached_property
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .algebra import Multivector, _all_finite, _is_int
+from .algebra import Multivector, _all_finite, _as_float, _check_real, _is_int, _is_real
 from .coding import LatticeMultivector, _padded
 from .colorwheel import RgbColor, hue_to_rgb, nu_of_x, rgb_to_hex
 
@@ -108,8 +107,7 @@ class CubeStyle:
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         for name in (f.name for f in fields(self) if f.name != "mode"):
-            if not math.isfinite(float(getattr(self, name))):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+            _check_real(getattr(self, name), name)
         if not 0.0 <= float(self.background) < 1.0:
             raise ValueError(f"background hue must lie in [0, 1), got {self.background!r}")
         if not 0.0 < float(self.foreshortening) <= 1.0:
@@ -183,9 +181,7 @@ class Scene:
                 kind, pts, field = Disc, (el.center,), "radius"
             else:
                 raise TypeError(f"unsupported scene element {type(el).__name__}")
-            value = getattr(el, field)
-            if not math.isfinite(value):
-                raise ValueError(f"{kind.__name__} {field} must be finite, got {value!r}")
+            value = _check_real(getattr(el, field), f"{kind.__name__} {field}")
             numbers = tuple(range(len(points), len(points) + len(pts)))
             table.append(_Row(kind, el.css_class, numbers, len(colors), value))
             points.extend(pts)
@@ -318,8 +314,8 @@ def _cubes(block: np.ndarray, offsets: np.ndarray, style: CubeStyle, deformation
             raise ValueError("deformation must return a 3-point")
         world = points.reshape(world.shape)
     theta = math.radians(style.angle_deg)
-    fx = style.foreshortening * math.cos(theta)
-    fy = style.foreshortening * math.sin(theta)
+    fx = float(style.foreshortening) * math.cos(theta)
+    fy = float(style.foreshortening) * math.sin(theta)
     e = float(style.edge)
     x, y, z = world[..., 0], world[..., 1], world[..., 2]
     corners = np.stack([e * (x + fx * y), -e * (z + fy * y)], axis=-1)
@@ -343,16 +339,15 @@ def grid_placement(cells, spacing: float = 1.0) -> dict:
 
     Shorter cell indices pad with zeros, so 2-index lattices lie in the
     x-y plane.  A bare integer cell k is the one-index cell (k,), as in
-    a lattice.  Indices may be any real numbers, such as (1.5, 2), and
-    ``spacing`` any finite real number a float can hold.
+    a lattice.  Indices, such as (1.5, 2), and ``spacing`` may be any
+    finite reals: integers multiply exactly as ints, other reals as floats.
     """
     try:
-        finite = (isinstance(spacing, numbers.Real) and not isinstance(spacing, bool)
-                  and math.isfinite(spacing))
-    except OverflowError:  # an integer beyond the float range
-        finite = False
-    if not finite:
-        raise ValueError(f"spacing must be a finite real number, got {spacing!r}")
+        _check_real(spacing, "spacing")
+    except ValueError:
+        raise ValueError(f"spacing must be a finite real number, got {spacing!r}") from None
+    # as Python numbers, so that no product below wraps around or warns as numpy's may
+    spacing = int(spacing) if _is_int(spacing) else float(spacing)
     out = {}
     for given in cells:
         cell = given if type(given) is tuple else (int(given),) if _is_int(given) else given
@@ -362,19 +357,21 @@ def grid_placement(cells, spacing: float = 1.0) -> dict:
             raise ValueError(f"cell index must be an integer or a tuple, got {given!r}") from None
         if not 1 <= len(cell) <= 3:
             raise ValueError(f"cell index must hold 1 to 3 values, got {cell!r}")
-        # plain ints, the common case, skip the abstract-class check
-        if not all([type(p) is int or isinstance(p, numbers.Real) for p in cell]):
-            raise ValueError(f"cell index must hold numbers, got {given!r}")
-        i, j, k = _padded(cell)
+        try:
+            for p in cell:
+                _check_real(p, "cell index")
+        except ValueError:
+            what = "finite numbers" if all(map(_is_real, cell)) else "numbers"
+            raise ValueError(f"cell index must hold {what}, got {given!r}") from None
+        i, j, k = [int(p) if _is_int(p) else float(p) for p in _padded(cell)]
         out[cell] = (i * spacing, j * spacing, k * spacing)
     return out
 
 
 def sine_warp(amplitude: float = 0.3, period: float = 4.0) -> Callable:
     """Vertical ripple running along x + y; geometry moves, colors do not."""
-    if not math.isfinite(amplitude):
-        raise ValueError(f"amplitude must be finite, got {amplitude!r}")
-    if not (math.isfinite(period) and period > 0):
+    amplitude, period = _check_real(amplitude, "amplitude"), _check_real(period, "period")
+    if period <= 0:
         raise ValueError(f"period must be positive and finite, got {period!r}")
 
     def deform(p):
@@ -407,12 +404,14 @@ def lattice_scene(
     for cell in cells:
         if cell not in placement:
             raise ValueError(f"placement missing cell {cell}")
-        off = tuple(map(float, placement[cell]))
-        if len(off) == 2:
-            off = (off[0], off[1], 0.0)
-        if len(off) != 3:
+        try:  # a string is split into characters, which are not numbers
+            off = [_as_float(p, "offset") for p in placement[cell]]
+        except (TypeError, ValueError):
+            raise ValueError(f"offset for cell {cell} must hold real numbers, "
+                             f"got {placement[cell]!r}") from None
+        if len(off) not in (2, 3):
             raise ValueError(f"offset for cell {cell} must have 2 or 3 components")
-        offsets.append(off)
+        offsets.append(off if len(off) == 3 else [*off, 0.0])
     return _cubes(lat._block, np.array(offsets, dtype=np.float64).reshape(-1, 3), style,
                   deformation)
 
@@ -439,7 +438,7 @@ def emit_svg(scene: Scene, width: int, height: int) -> str:
     if not isinstance(scene, Scene):
         raise TypeError("expected a Scene")
     for name, v in (("width", width), ("height", height)):
-        if not isinstance(v, int) or isinstance(v, bool) or v <= 0:
+        if not _is_int(v) or v <= 0:
             raise ValueError(f"{name} must be a positive integer, got {v!r}")
     bbox = scene_bbox(scene)
     if bbox is None:

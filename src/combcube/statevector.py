@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import _INV_SQRT2, Multivector, _all_finite, _is_int
+from .algebra import _INV_SQRT2, Multivector, _all_finite, _as_float, _is_int
 from .gates import Gate, teleport_network
 
 _MATRICES = {
@@ -136,10 +136,8 @@ def sv_teleport(alpha: float, beta: float) -> StateVector:
     payload on bit 3, amplitudes (alpha, beta) at indices 0 and 0b100.
     """
     amps = np.zeros(8)
-    amps[0b000] = float(alpha) * _INV_SQRT2
-    amps[0b001] = float(beta) * _INV_SQRT2
-    amps[0b110] = float(alpha) * _INV_SQRT2
-    amps[0b111] = float(beta) * _INV_SQRT2
+    amps[0b000] = amps[0b110] = _as_float(alpha, "alpha") * _INV_SQRT2
+    amps[0b001] = amps[0b111] = _as_float(beta, "beta") * _INV_SQRT2
     return sv_apply_circuit(teleport_network(), StateVector(amps, 3))
 
 

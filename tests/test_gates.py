@@ -524,13 +524,16 @@ def test_compiled_lattice_circuits_match_one_gate_at_a_time_bit_for_bit():
             assert out.get((i,)).coeffs.tobytes() == row.tobytes(), [g.label() for g in circuit]
 
 
-def test_gate_pairs_that_cancel_compile_to_no_stage():
-    for ops in ([("X", 2, None)] * 2, [("Z", 2, None)] * 2, [("CX", 3, 1)] * 2,
-                [("CZ", 1, 3)] * 2, [("CX", 2, 3), ("Z", 1, None)] * 2):
-        assert _compile(ops, 3) == ()
-    # X Z X Z is -1: the gather folds away, the all-minus signs stay
-    ((stage,),) = _compile([("X", 1, None), ("Z", 1, None)] * 2, 3)
-    assert stage[0] is None and np.array_equal(stage[1], -np.ones(8))
+def test_gate_pairs_that_cancel_run_as_the_identity_bit_for_bit():
+    # the compiler keeps their identity gather and all-plus signs; a
+    # gather copies and a sign of +-1 is exact, so no bit may change
+    x = Multivector(np.random.default_rng(3).normal(size=8) * 10.0 ** np.arange(-4, 4), 3)
+    for gates in ([Gate("X", 2)] * 2, [Gate("Z", 2)] * 2, [Gate("CX", 3, 1)] * 2,
+                  [Gate("CZ", 1, 3)] * 2, [Gate("CX", 2, 3), Gate("Z", 1)] * 2):
+        assert apply_circuit(gates, x).coeffs.tobytes() == x.coeffs.tobytes()
+    # X Z X Z is -1
+    minus = apply_circuit([Gate("X", 1), Gate("Z", 1)] * 2, x)
+    assert minus.coeffs.tobytes() == (-x.coeffs).tobytes()
 
 
 def test_bit_tables_are_read_only_and_unchanged_by_compiling():

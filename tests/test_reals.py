@@ -1,0 +1,276 @@
+"""The real-number rule behind every public numeric parameter.
+
+``algebra._is_real`` accepts any numbers.Real except bool;
+``algebra._as_float`` converts such a value, reading an int beyond the
+float range as +-inf; ``algebra._check_real`` also demands a finite
+value.  Every numeric parameter of the colour map, the cube style, the
+scene elements, the grid placement, the lattice offsets, the warp and
+the two teleport entry points goes through them.  So a value either
+acts exactly as ``float(value)`` does, or it is a ValueError that names
+the parameter (or, for a value that converts to nan or +-inf, the
+finiteness check further on); no TypeError or OverflowError escapes.
+The grid placement is the one exception to "as ``float(value)``": an
+integer spacing or index multiplies exactly, as a Python int.
+"""
+
+import math
+import re
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from combcube.algebra import Multivector, _as_float, _check_real, _is_real
+from combcube.coding import LatticeMultivector
+from combcube.colorwheel import hue_to_rgb, nu_of_x, x_of_nu
+from combcube.gates import teleport
+from combcube.render import (
+    CubeStyle,
+    Disc,
+    Polygon,
+    Scene,
+    Segment,
+    cube_scene,
+    emit_svg,
+    grid_placement,
+    lattice_scene,
+    sine_warp,
+)
+from combcube.statevector import sv_teleport
+
+BIG = 10**400  # an int beyond the float range
+_RED = hue_to_rgb(0.0)
+_LATTICE = LatticeMultivector({
+    (0, 0): teleport(0.6, 0.8), (1, 0): Multivector(np.arange(8.0) - 3.5, 3),
+})
+
+_VALUES = st.one_of(
+    st.floats(),  # nan, +-inf and subnormals included
+    st.sampled_from([math.nan, math.inf, -math.inf, 5e-324, -5e-324, 0.0, -0.0, 0.25, 1.0]),
+    st.integers(-BIG, BIG),
+    st.sampled_from([BIG, -BIG, 2**1024, 2**1024 - 2**970, 10**308, 0, 1, 3]),
+    st.booleans(),
+    st.floats(-2.0, 2.0),  # where the bounded parameters (hues, opacities) live
+    st.floats(width=32).map(np.float32),
+    st.floats(-2.0, 2.0, width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.sampled_from(["0.5", "1", "nan", "-inf", "1e400", "abc", ""]),
+    st.text(max_size=3),
+    st.none(),
+    st.complex_numbers(max_magnitude=10.0),
+)
+
+
+def _plain_float(v):
+    """float(v) for the values drawn above, an int beyond the float range
+    as +-inf; None for a value the rule rejects."""
+    if v is None or isinstance(v, (bool, str, complex)):
+        return None
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
+def _plain_number(v):
+    """As ``_plain_float``, but an integer stays an exact Python int."""
+    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+        return int(v)
+    return _plain_float(v)
+
+
+def _drawn(scene: Scene) -> tuple:
+    """A scene's arrays and its SVG text: everything that is drawn."""
+    return scene._corners.tobytes(), emit_svg(scene, 400, 300)
+
+
+def _cube(**style) -> tuple:
+    return _drawn(cube_scene(teleport(0.6, 0.8), CubeStyle(**style)))
+
+
+def _element(kind, v) -> tuple:
+    element = {
+        "Polygon": lambda: Polygon(((0.0, 0.0), (10.0, 0.0), (0.0, 5.0)), _RED, v, "wall-xy"),
+        "Segment": lambda: Segment((0.0, 0.0), (10.0, -20.0), _RED, v, "edge-x"),
+        "Disc": lambda: Disc((1.0, 2.0), v, _RED, "corner"),
+    }[kind]()
+    return _drawn(Scene(hue_to_rgb(0.75), [element]))
+
+
+def _lattice(**kwargs) -> tuple:
+    return _drawn(lattice_scene(_LATTICE, **kwargs))
+
+
+# parameter -> (call on one value, pattern its ValueError names, reference)
+_PARAMETERS = {
+    "nu_of_x": (nu_of_x, "value", _plain_float),
+    "hue_to_rgb": (hue_to_rgb, "hue", _plain_float),
+    "x_of_nu": (x_of_nu, "hue", _plain_float),
+    **{f"CubeStyle.{name}": (lambda v, name=name: _cube(**{name: v}),
+                             name.replace("_", "[_ ]"), _plain_float)
+       for name in ("background", "angle_deg", "foreshortening", "edge", "stroke_width",
+                    "corner_radius", "wall_opacity", "interior_opacity")},
+    **{f"{kind}.{field}": (lambda v, kind=kind: _element(kind, v), f"{kind} {field}",
+                           _plain_float)
+       for kind, field in (("Polygon", "opacity"), ("Segment", "width"), ("Disc", "radius"))},
+    "grid_placement.spacing": (lambda v: grid_placement([(1, 2), (3,), (-2, 0, 1)], v),
+                               "spacing", _plain_number),
+    "grid_placement.cell": (lambda v: list(grid_placement([(v, 1), (0, v, 2)], 3).values()),
+                            "cell index", _plain_number),
+    "lattice_scene.offset": (lambda v: _lattice(placement={(0, 0): (v, 0.0),
+                                                           (1, 0): (1.0, 0.5, v)}),
+                             "offset|cube corners must be finite", _plain_float),
+    "sine_warp.amplitude": (lambda v: _lattice(deformation=sine_warp(amplitude=v)),
+                            "amplitude", _plain_float),
+    "sine_warp.period": (lambda v: _lattice(deformation=sine_warp(period=v)),
+                         "period", _plain_float),
+    "teleport.alpha": (lambda v: teleport(v, 0.8).coeffs.tobytes(),
+                       "alpha|coefficients must be finite", _plain_float),
+    "teleport.beta": (lambda v: teleport(0.6, v).coeffs.tobytes(),
+                      "beta|coefficients must be finite", _plain_float),
+    "sv_teleport.alpha": (lambda v: sv_teleport(v, 0.8).amps.tobytes(),
+                          "alpha|amplitudes must be finite", _plain_float),
+    "sv_teleport.beta": (lambda v: sv_teleport(0.6, v).amps.tobytes(),
+                         "beta|amplitudes must be finite", _plain_float),
+}
+
+
+def _outcome(call, v) -> tuple:
+    """("ok", output) or ("error", message) of ``call(v)``; any other
+    exception escapes and fails the test."""
+    try:
+        # a huge size or offset overflows on its way to the corner check
+        with np.errstate(over="ignore", invalid="ignore"):
+            return "ok", call(v)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(_PARAMETERS))
+@settings(max_examples=20, deadline=None)
+@given(v=_VALUES)
+# one value of each kind, whatever is drawn
+@example(v=np.float32(0.7))
+@example(v=np.int64(3))
+@example(v=BIG)
+@example(v=math.nan)
+@example(v=True)
+@example(v="0.5")
+def test_a_numeric_parameter_acts_as_its_float_or_names_itself(name, v):
+    call, field, reference = _PARAMETERS[name]
+    got = _outcome(call, v)
+    plain = reference(v)
+    if plain is None:  # not a real number
+        assert got[0] == "error" and re.search(field, got[1]), (v, got)
+        return
+    want = _outcome(call, plain)
+    if want[0] == "ok" or got[0] == "ok":
+        assert got == want, v
+    else:  # the same failure as the float, which names the field or repeats
+        assert re.search(field, got[1]) or got[1] == want[1], (v, got, want)
+
+
+_LAT = LatticeMultivector({(0, 0): Multivector.zero(3)})
+_NO_SCENE = Scene(hue_to_rgb(0.75))
+
+# every input that let a TypeError or OverflowError escape, or was wrongly
+# accepted, before the rule was shared; the ValueError it gives now
+_PROBES = {
+    "nu_of_x(10**400)": (lambda: nu_of_x(BIG), "value must be finite, got inf"),
+    "hue_to_rgb(10**400)": (lambda: hue_to_rgb(BIG), "hue must lie in [0, 1), got inf"),
+    "x_of_nu(10**400)": (lambda: x_of_nu(BIG), "hue must lie in [0, 1), got inf"),
+    "nu_of_x(True)": (lambda: nu_of_x(True), "value must be a real number, got True"),
+    "nu_of_x('0.5')": (lambda: nu_of_x("0.5"), "value must be a real number, got '0.5'"),
+    "sine_warp('1')": (lambda: sine_warp("1"), "amplitude must be a real number, got '1'"),
+    "sine_warp(10**400)": (lambda: sine_warp(BIG), "amplitude must be finite, got inf"),
+    "sine_warp(period=True)": (lambda: sine_warp(period=True),
+                               "period must be a real number, got True"),
+    "Disc radius '5'": (lambda: Scene(_RED, [Disc((0.0, 0.0), "5", _RED, "corner")]),
+                        "Disc radius must be a real number, got '5'"),
+    "Disc radius 10**400": (lambda: Scene(_RED, [Disc((0.0, 0.0), BIG, _RED, "corner")]),
+                            "Disc radius must be finite, got inf"),
+    "Disc radius True": (lambda: Scene(_RED, [Disc((0.0, 0.0), True, _RED, "corner")]),
+                         "Disc radius must be a real number, got True"),
+    "CubeStyle(edge=10**400)": (lambda: CubeStyle(edge=BIG), "edge must be finite, got inf"),
+    "CubeStyle(edge=None)": (lambda: CubeStyle(edge=None), "edge must be a real number, got None"),
+    "CubeStyle(edge='abc')": (lambda: CubeStyle(edge="abc"),
+                              "edge must be a real number, got 'abc'"),
+    "CubeStyle(stroke_width='3')": (lambda: CubeStyle(stroke_width="3"),
+                                    "stroke_width must be a real number, got '3'"),
+    "CubeStyle(wall_opacity='0.5')": (lambda: CubeStyle(wall_opacity="0.5"),
+                                      "wall_opacity must be a real number, got '0.5'"),
+    "grid_placement nan cell": (lambda: grid_placement([(math.nan, 0)]),
+                                "cell index must hold finite numbers, got (nan, 0)"),
+    "grid_placement bool cell": (lambda: grid_placement([(True, 0)]),
+                                 "cell index must hold numbers, got (True, 0)"),
+    "lattice_scene offset '12'": (lambda: lattice_scene(_LAT, placement={(0, 0): "12"}),
+                                  "offset for cell (0, 0) must hold real numbers, got '12'"),
+    "lattice_scene offset 5": (lambda: lattice_scene(_LAT, placement={(0, 0): 5}),
+                               "offset for cell (0, 0) must hold real numbers, got 5"),
+    "lattice_scene offset (None, 1)": (
+        lambda: lattice_scene(_LAT, placement={(0, 0): (None, 1)}),
+        "offset for cell (0, 0) must hold real numbers, got (None, 1)"),
+    "lattice_scene offset (10**400, 1)": (
+        lambda: lattice_scene(_LAT, placement={(0, 0): (BIG, 1)}),
+        "cube corners must be finite after placement and deformation"),
+    "teleport(10**400, 0)": (lambda: teleport(BIG, 0), "coefficients must be finite"),
+    "teleport(None, 1)": (lambda: teleport(None, 1), "alpha must be a real number, got None"),
+    "teleport('0.6', 0.8)": (lambda: teleport("0.6", 0.8),
+                             "alpha must be a real number, got '0.6'"),
+    "teleport(True, 0)": (lambda: teleport(True, 0), "alpha must be a real number, got True"),
+    "teleport(0.6, 0.8j)": (lambda: teleport(0.6, 0.8j), "beta must be a real number, got 0.8j"),
+    "sv_teleport(10**400, 0)": (lambda: sv_teleport(BIG, 0), "amplitudes must be finite"),
+    "sv_teleport(0.6, '0.8')": (lambda: sv_teleport(0.6, "0.8"),
+                                "beta must be a real number, got '0.8'"),
+    "emit_svg(width=True)": (lambda: emit_svg(_NO_SCENE, True, 480),
+                             "width must be a positive integer, got True"),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(_PROBES))
+def test_each_probe_is_a_value_error_naming_its_field(probe):
+    call, message = _PROBES[probe]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_nan_and_inf_keep_the_teleport_messages():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^coefficients must be finite$"):
+            teleport(bad, 0.8)
+        with pytest.raises(ValueError, match="^amplitudes must be finite$"):
+            sv_teleport(0.6, bad)
+
+
+def test_emit_svg_takes_a_numpy_integer_size_as_its_int():
+    scene = cube_scene(teleport(0.6, 0.8))
+    want = emit_svg(scene, 640, 480)
+    assert emit_svg(scene, np.int64(640), np.int32(480)) == want
+    assert emit_svg(scene, np.uint16(640), 480) == want
+    for bad in (640.0, np.float64(640.0), "640", None):
+        with pytest.raises(ValueError, match="^width must be a positive integer"):
+            emit_svg(scene, bad, 480)
+
+
+def test_grid_placement_multiplies_numpy_integers_exactly():
+    # numpy's int64 arithmetic would wrap around (and warn) here
+    assert grid_placement([(3,)], np.int64(2**62)) == {(3,): (3 * 2**62, 0, 0)}
+    assert grid_placement([(np.int64(2**62), 1)], 2) == {(np.int64(2**62), 1): (2**63, 2, 0)}
+    # and numpy floats as Python floats, not in float32
+    assert grid_placement([(3,)], np.float32(0.3)) == {(3,): (3 * float(np.float32(0.3)), 0.0, 0.0)}
+
+
+def test_the_rule_helpers():
+    for v in (0.5, -0.0, 3, np.float32(0.5), np.int64(-7), Fraction(1, 3)):
+        assert _is_real(v) and type(_as_float(v, "x")) is float and _check_real(v, "x") == float(v)
+    for v in (True, np.bool_(True), "1", None, 1j, np.array([1.0])):
+        assert not _is_real(v)
+        with pytest.raises(ValueError, match=r"^x must be a real number, got "):
+            _as_float(v, "x")
+    for v, inf in ((BIG, math.inf), (-BIG, -math.inf), (Fraction(BIG, 3), math.inf)):
+        assert _as_float(v, "x") == inf
+        with pytest.raises(ValueError, match=f"^x must be finite, got {inf!r}$"):
+            _check_real(v, "x")
