@@ -163,7 +163,7 @@ class Multivector:
         if not 0 <= word < (1 << dim):
             raise ValueError(f"blade word out of range for Cl({dim}): {word}")
         arr = np.zeros(1 << dim)
-        arr[word] = coeff
+        arr[word] = _as_float(coeff, "coefficient")
         return cls(arr, dim)
 
     @classmethod
@@ -210,19 +210,17 @@ class Multivector:
     def __mul__(self, other):
         if isinstance(other, Multivector):
             return geometric_product(self, other)
-        if isinstance(other, numbers.Real):
-            return Multivector(self._coeffs * float(other), self._dim)
-        return NotImplemented
+        return self.__rmul__(other)
 
     def __rmul__(self, other):
-        if isinstance(other, numbers.Real):
-            return Multivector(self._coeffs * float(other), self._dim)
-        return NotImplemented
+        if not _is_real(other):
+            return NotImplemented
+        return Multivector(self._coeffs * _as_float(other, "scalar"), self._dim)
 
     def __truediv__(self, other):
-        if isinstance(other, numbers.Real):
-            return Multivector(self._coeffs / float(other), self._dim)
-        return NotImplemented
+        if not _is_real(other):
+            return NotImplemented
+        return Multivector(self._coeffs / _as_float(other, "scalar"), self._dim)
 
     def __repr__(self) -> str:
         terms = []

@@ -34,15 +34,16 @@ import numpy as np
 from .algebra import Multivector
 from .coding import (
     _fmt_number,
-    bits_to_key,
-    decode,
+    _key_words,
     lattice_from_json,
     multivector_from_json,
     multivector_to_json,
 )
 from .colorwheel import hue_to_rgb, nu_of_x, rgb_to_hex, x_of_nu
-from .gates import GATE_KINDS, Gate, apply_circuit, apply_gate, teleport, teleport_network
+from .gates import (_CONTROLLED, GATE_KINDS, Gate, apply_circuit, apply_gate, teleport,
+                    teleport_network)
 from .render import (
+    _MODES,
     CubeStyle,
     cube_scene,
     emit_svg,
@@ -106,13 +107,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_render_flags(p: argparse.ArgumentParser) -> None:
     """Style, viewport and --timings flags shared by both render commands."""
-    p.add_argument("--mode", choices=("redundant", "representative"), default="redundant")
-    p.add_argument("--background", type=float, default=0.75, help="backdrop hue in [0, 1)")
-    p.add_argument("--angle", type=float, default=30.0, help="receding-axis angle, degrees")
-    p.add_argument("--foreshortening", type=float, default=0.5)
-    p.add_argument("--edge", type=float, default=100.0, help="cube edge, user units")
-    p.add_argument("--stroke-width", type=float, default=3.0)
-    p.add_argument("--corner-radius", type=float, default=5.0)
+    p.add_argument("--mode", choices=_MODES, default=CubeStyle.mode)
+    p.add_argument("--background", type=float, default=CubeStyle.background,
+                   help="backdrop hue in [0, 1)")
+    p.add_argument("--angle", dest="angle_deg", metavar="ANGLE", type=float,
+                   default=CubeStyle.angle_deg, help="receding-axis angle, degrees")
+    p.add_argument("--foreshortening", type=float, default=CubeStyle.foreshortening)
+    p.add_argument("--edge", type=float, default=CubeStyle.edge, help="cube edge, user units")
+    p.add_argument("--stroke-width", type=float, default=CubeStyle.stroke_width)
+    p.add_argument("--corner-radius", type=float, default=CubeStyle.corner_radius)
     p.add_argument("--width", type=int, help="viewport width (default: fit contents)")
     p.add_argument("--height", type=int, help="viewport height (default: fit contents)")
     _add_timings_flag(p)
@@ -124,15 +127,10 @@ def _add_timings_flag(p: argparse.ArgumentParser) -> None:
 
 
 def _style_from_args(args) -> CubeStyle:
-    return CubeStyle(
-        mode=args.mode,
-        background=args.background,
-        angle_deg=args.angle,
-        foreshortening=args.foreshortening,
-        edge=args.edge,
-        stroke_width=args.stroke_width,
-        corner_radius=args.corner_radius,
-    )
+    # each render flag sets the CubeStyle field of its own name
+    names = ("mode", "background", "angle_deg", "foreshortening", "edge", "stroke_width",
+             "corner_radius")
+    return CubeStyle(**{name: getattr(args, name) for name in names})
 
 
 def _viewport(scene, args) -> tuple[int, int]:
@@ -150,8 +148,8 @@ def _viewport(scene, args) -> tuple[int, int]:
 
 
 def _print_table(mv: Multivector) -> None:
-    for key, value in sorted((bits_to_key(bits), v) for bits, v in decode(mv).items()):
-        print(f"{key}  {_fmt_number(value)}")
+    for key, word in _key_words(mv.dim).items():
+        print(f"{key}  {_fmt_number(mv.coeffs[word])}")
 
 
 def _cmd_teleport(args) -> int:
@@ -248,7 +246,7 @@ def _random_circuit(rng, length: int):
     for _ in range(length):
         kind = GATE_KINDS[int(rng.integers(0, len(GATE_KINDS)))]
         target = int(rng.integers(1, 4))
-        if kind in ("CX", "CZ"):
+        if kind in _CONTROLLED:
             control = int(rng.integers(1, 4))
             while control == target:
                 control = int(rng.integers(1, 4))

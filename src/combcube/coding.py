@@ -335,12 +335,14 @@ def lattice_get(lat: LatticeMultivector, cell) -> Multivector:
 # 0), so that every float64 survives a round trip.
 
 
-def _unique_keys(pairs) -> dict:
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise ValueError(f"duplicate JSON key {key!r}")
-        obj[key] = value
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):  # some key repeats: name the first that does
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate JSON key {key!r}")
+            seen.add(key)
     return obj
 
 

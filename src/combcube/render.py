@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import FrozenInstanceError, dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
@@ -259,20 +259,6 @@ class Scene:
         return f"Scene(background={self.background!r}, elements={self.elements!r})"
 
 
-class _Memo(dict):
-    """``fn(key)`` for each distinct key, worked out on first lookup."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
-
-
 def _box(points: np.ndarray) -> tuple:
     """(x0, y0, x1, y1) of an array of (x, y) points, one axis at a time."""
     x, y = points[..., 0], points[..., 1]
@@ -299,8 +285,8 @@ def _cubes(block: np.ndarray, offsets: np.ndarray, style: CubeStyle, deformation
     """
     order = np.argsort(-offsets[:, 1], kind="stable")
     # 0.0 and -0.0 share a key, which is safe: both take the hue 3/4
-    hues = _Memo(lambda c: hue_to_rgb(nu_of_x(c)))
-    colors = [[hues[c] for c in row] for row in block[order].tolist()]
+    hues = cache(lambda c: hue_to_rgb(nu_of_x(c)))
+    colors = [[hues(c) for c in row] for row in block[order].tolist()]
     world = offsets[order][:, None, :] + _UNIT_CUBE
     if deformation is not None:
         moved = [deformation(p) for p in map(tuple, world.reshape(-1, 3).tolist())]
@@ -340,7 +326,8 @@ def grid_placement(cells, spacing: float = 1.0) -> dict:
     Shorter cell indices pad with zeros, so 2-index lattices lie in the
     x-y plane.  A bare integer cell k is the one-index cell (k,), as in
     a lattice.  Indices, such as (1.5, 2), and ``spacing`` may be any
-    finite reals: integers multiply exactly as ints, other reals as floats.
+    finite reals: integers multiply exactly as ints, other reals as floats,
+    and a float offset past the float range is a ValueError naming the cell.
     """
     try:
         _check_real(spacing, "spacing")
@@ -364,7 +351,10 @@ def grid_placement(cells, spacing: float = 1.0) -> dict:
             what = "finite numbers" if all(map(_is_real, cell)) else "numbers"
             raise ValueError(f"cell index must hold {what}, got {given!r}") from None
         i, j, k = [int(p) if _is_int(p) else float(p) for p in _padded(cell)]
-        out[cell] = (i * spacing, j * spacing, k * spacing)
+        offset = out[cell] = (i * spacing, j * spacing, k * spacing)
+        if math.inf in map(abs, offset):  # finite floats whose product overflows
+            raise ValueError(f"cell index {given!r} at spacing {spacing!r} "
+                             f"gives a non-finite offset {offset!r}")
     return out
 
 
@@ -448,8 +438,8 @@ def emit_svg(scene: Scene, width: int, height: int) -> str:
         dx = width / 2.0 - (x0 + x1) / 2.0
         dy = height / 2.0 - (y0 + y1) / 2.0
     # keys that compare equal (0.0 and -0.0) give equal text, "-0.00" -> "0.00"
-    xs = _Memo(lambda x: _fmt(x + dx))
-    ys = _Memo(lambda y: _fmt(y + dy))
+    xs = cache(lambda x: _fmt(x + dx))
+    ys = cache(lambda y: _fmt(y + dy))
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -467,8 +457,8 @@ def emit_svg(scene: Scene, width: int, height: int) -> str:
             attrs = f' r="{value:g}"'
         rows.append((kind, cls, idx, slot, attrs))
     for pts, colors in zip(scene._corners.tolist(), scene._colors):
-        px = [xs[x] for x, _ in pts]
-        py = [ys[y] for _, y in pts]
+        px = [xs(x) for x, _ in pts]
+        py = [ys(y) for _, y in pts]
         pairs = [f"{x},{y}" for x, y in zip(px, py)]
         for kind, cls, idx, slot, attrs in rows:
             color = rgb_to_hex(colors[slot])

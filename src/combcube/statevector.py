@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import _INV_SQRT2, Multivector, _all_finite, _as_float, _is_int
+from .algebra import _INV_SQRT2, MAX_DIM, Multivector, _all_finite, _as_float, _is_int
 from .gates import Gate, teleport_network
 
 _MATRICES = {
@@ -28,13 +28,13 @@ _MATRICES = {
 
 
 def _check_dim(dim) -> int:
-    if not _is_int(dim) or not 1 <= dim <= 16:
-        raise ValueError(f"dimension must be in [1, 16], got {dim!r}")
+    if not _is_int(dim) or not 1 <= dim <= MAX_DIM:
+        raise ValueError(f"dimension must be in [1, {MAX_DIM}], got {dim!r}")
     return int(dim)
 
 
 class StateVector:
-    """Immutable real amplitude vector over n bits, 1 <= n <= 16."""
+    """Immutable real amplitude vector over n bits, 1 <= n <= MAX_DIM."""
 
     __slots__ = ("_dim", "_amps")
 

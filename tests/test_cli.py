@@ -9,11 +9,13 @@ import json
 import re
 import warnings
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import pytest
 
-from combcube.cli import build_parser, run
+from combcube.cli import _style_from_args, build_parser, run
 from combcube.coding import MAX_CELL_INDEX, multivector_from_json
+from combcube.render import CubeStyle
 
 EXAMPLE_JSON = json.dumps({
     "000": -0.07, "100": 0.32, "010": -3.08, "001": 1.06,
@@ -288,3 +290,24 @@ def test_lattice_render_rejects_cell_indices_past_the_bound(tmp_path, capsys, in
     err = capsys.readouterr().err
     assert err.startswith(f"error: cell index ({index}, 0) out of range")
     assert not dst.exists()
+
+
+@pytest.mark.parametrize("command", ["render", "lattice-render"])
+def test_render_flag_defaults_build_the_default_style(command):
+    args = build_parser().parse_args([command, "in.json", "--output", "out.svg"])
+    assert _style_from_args(args) == CubeStyle()
+
+
+@pytest.mark.parametrize("command", ["render", "lattice-render"])
+@pytest.mark.parametrize("flag, field, value", [
+    ("--mode", "mode", "representative"),
+    ("--background", "background", 0.25),
+    ("--angle", "angle_deg", 40.0),
+    ("--foreshortening", "foreshortening", 0.7),
+    ("--edge", "edge", 60.0),
+    ("--stroke-width", "stroke_width", 1.5),
+    ("--corner-radius", "corner_radius", 2.5),
+])
+def test_each_style_flag_sets_its_own_field(command, flag, field, value):
+    args = build_parser().parse_args([command, "in.json", "--output", "out.svg", flag, str(value)])
+    assert _style_from_args(args) == replace(CubeStyle(), **{field: value})

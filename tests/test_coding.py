@@ -485,3 +485,15 @@ def test_float_tables_read_as_the_full_checks_read_them(table):
     assert lat.cell_indices() == ((0, 1), (2,))
     assert lat._block[0].tobytes() == want
     assert not lat._block[1].any()
+
+
+@pytest.mark.parametrize("read, text, key", [
+    # the first key to repeat is named, not the first key seen
+    (multivector_from_json, '{"001": 1, "000": 1, "000": 2, "001": 3}', "000"),
+    (lattice_from_json, '{"1,0": {}, "0,0": {}, "0,0": {}, "1,0": {}}', "0,0"),
+    (lattice_from_json, '{"0,0": {"000": 1}, "1,0": {"110": 1, "010": 2, "010": 3, "110": 4}}',
+     "010"),
+], ids=["table", "outer", "nested"])
+def test_a_repeated_json_key_is_named(read, text, key):
+    with pytest.raises(ValueError, match=f"^duplicate JSON key '{key}'$"):
+        read(text)

@@ -4,11 +4,14 @@
 ``algebra._as_float`` converts such a value, reading an int beyond the
 float range as +-inf; ``algebra._check_real`` also demands a finite
 value.  Every numeric parameter of the colour map, the cube style, the
-scene elements, the grid placement, the lattice offsets, the warp and
-the two teleport entry points goes through them.  So a value either
-acts exactly as ``float(value)`` does, or it is a ValueError that names
-the parameter (or, for a value that converts to nan or +-inf, the
-finiteness check further on); no TypeError or OverflowError escapes.
+scene elements, the grid placement, the lattice offsets, the warp, the
+two teleport entry points and the multivector coefficients and scalar
+operands goes through them.  So a value either acts exactly as
+``float(value)`` does, or it is a ValueError that names the parameter
+(or, for a value that converts to nan or +-inf, the finiteness check
+further on); no TypeError or OverflowError escapes, except that a scalar
+operand that is not a real number is a TypeError, as Python raises for
+any operand a type does not support.
 The grid placement is the one exception to "as ``float(value)``": an
 integer spacing or index multiplies exactly, as a Python int.
 """
@@ -274,3 +277,83 @@ def test_the_rule_helpers():
         assert _as_float(v, "x") == inf
         with pytest.raises(ValueError, match=f"^x must be finite, got {inf!r}$"):
             _check_real(v, "x")
+
+
+_MV = Multivector(np.arange(8.0) - 3.5, 3)
+_SCALED = {  # each way a scalar enters a multivector, as coefficient bytes
+    "Multivector.scalar": lambda v: Multivector.scalar(v, 3).coeffs.tobytes(),
+    "Multivector.blade": lambda v: Multivector.blade(0b101, 3, v).coeffs.tobytes(),
+    "mv * v": lambda v: (_MV * v).coeffs.tobytes(),
+    "v * mv": lambda v: (v * _MV).coeffs.tobytes(),
+    "mv / v": lambda v: (_MV / v).coeffs.tobytes(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCALED))
+@settings(max_examples=20, deadline=None)
+@given(v=_VALUES)
+@example(v=np.float32(0.7))
+@example(v=np.int64(3))
+@example(v=Fraction(1, 3))
+@example(v=BIG)
+@example(v=True)
+@example(v="0.5")
+def test_a_multivector_scalar_acts_as_its_float_or_is_refused(name, v):
+    call = _SCALED[name]
+    plain = _plain_float(v)
+    if plain is None and name.startswith("Multivector"):
+        with pytest.raises(ValueError, match="^coefficient must be a real number, got "):
+            call(v)
+    elif plain is None:  # an operand that is not a real number
+        with pytest.raises(TypeError):
+            call(v)
+    else:
+        with np.errstate(divide="ignore"):  # a zero divisor warns as a float one does
+            assert _outcome(call, v) == _outcome(call, plain), v
+
+
+@pytest.mark.parametrize("build", [Multivector.scalar, lambda v, dim: Multivector.blade(6, dim, v)],
+                         ids=["scalar", "blade"])
+@pytest.mark.parametrize("v", ["0.5", True, None, 1j])
+def test_a_coefficient_that_is_not_real_is_named(build, v):
+    message = f"coefficient must be a real number, got {v!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(v, 3)
+
+
+@pytest.mark.parametrize("call", [lambda: _MV * True, lambda: _MV * "2", lambda: True * _MV,
+                                  lambda: _MV / True, lambda: _MV * None, lambda: 1j * _MV],
+                         ids=["mv*True", "mv*'2'", "True*mv", "mv/True", "mv*None", "1j*mv"])
+def test_a_scalar_operand_that_is_not_real_is_a_type_error(call):
+    with pytest.raises(TypeError):
+        call()
+
+
+@pytest.mark.parametrize("call", [lambda: Multivector.scalar(BIG, 3),
+                                  lambda: Multivector.blade(7, 3, -BIG),
+                                  lambda: _MV * BIG, lambda: -BIG * _MV],
+                         ids=["scalar", "blade", "mv*BIG", "-BIG*mv"])
+def test_an_int_past_the_float_range_meets_the_finiteness_check(call):
+    with np.errstate(invalid="ignore"):  # 0 * inf is nan, which numpy warns of
+        with pytest.raises(ValueError, match="^coefficients must be finite$"):
+            call()
+
+
+@pytest.mark.parametrize("s", [np.float32(0.7), np.int64(-3), Fraction(1, 3), np.float64(2.5)],
+                         ids=repr)
+def test_numpy_and_fraction_scalars_give_the_bytes_of_their_float(s):
+    for call in _SCALED.values():
+        assert call(s) == call(float(s))
+
+
+@pytest.mark.parametrize("cells, spacing, given", [
+    ([(1e308,)], 10.0, "(1e+308,)"),
+    ([(0, 0), (2, -1e200)], 1e200, "(2, -1e+200)"),
+    ([5], 1e308, "5"),
+    ([(0.0, 0, 10**300)], 1e10, "(0.0, 0, " + str(10**300) + ")"),
+])
+def test_grid_placement_names_a_cell_whose_offset_overflows(cells, spacing, given):
+    with pytest.raises(ValueError, match=f"^cell index {re.escape(given)} at spacing "):
+        grid_placement(cells, spacing)
+    # exact ints never overflow
+    assert grid_placement([(10**300,)], 10**300) == {(10**300,): (10**600, 0, 0)}
