@@ -60,6 +60,7 @@ from .statevector import (
 )
 
 _MARGIN = 20.0
+_MAX_TRIALS = 1_000_000  # 1,000 trials take about 1.5 s, so this is about half an hour
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,6 +353,8 @@ def _suite_colorwheel() -> tuple[float, float]:
 def _cmd_verify(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
+    if args.trials > _MAX_TRIALS:
+        raise ValueError(f"--trials must be at most {_MAX_TRIALS}, got {args.trials}")
     rng = np.random.default_rng(args.seed)
     clock = _StageClock()
     exact_dev, assoc_dev = _suite_algebra(rng, args.trials)

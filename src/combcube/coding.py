@@ -410,14 +410,20 @@ def key_to_cell(key: str) -> tuple[int, ...]:
 
 
 def lattice_to_json(lat: LatticeMultivector) -> str:
+    """The lattice file; each distinct coefficient is formatted once, found
+    by its 64-bit pattern, so -0.0 keeps its own text."""
     if not isinstance(lat, LatticeMultivector):
         raise TypeError("expected a LatticeMultivector")
     if len(lat) == 0:
         return "{}\n"
-    blocks = [
-        f'  "{",".join(map(str, cell))}": {{\n{_table_body(row, _LATTICE_DIM, "    ")}\n  }}'
-        for cell, row in zip(lat.cell_indices(), lat._block.tolist())
-    ]
+    words = _key_words(_LATTICE_DIM)
+    template = '  "%s": {\n' + ",\n".join(f'    "{key}": %s' for key in words) + "\n  }"
+    ordered = lat._block[:, list(words.values())]
+    patterns = ordered.view(np.int64)
+    texts = dict(zip(patterns.ravel().tolist(), ordered.ravel().tolist()))
+    texts = {bits: _json_number(value) for bits, value in texts.items()}
+    blocks = [template % (",".join(map(str, cell)), *map(texts.__getitem__, row))
+              for cell, row in zip(lat.cell_indices(), patterns.tolist())]
     return "{\n" + ",\n".join(blocks) + "\n}\n"
 
 

@@ -28,12 +28,13 @@ from __future__ import annotations
 import math
 from dataclasses import FrozenInstanceError, dataclass, fields
 from functools import cache, cached_property
+from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
 from .algebra import Multivector, _all_finite, _as_float, _check_real, _is_int, _is_real
-from .coding import LatticeMultivector, _padded
+from .coding import MAX_CELL_INDEX, LatticeMultivector, _padded
 from .colorwheel import RgbColor, hue_to_rgb, nu_of_x, rgb_to_hex
 
 # blade word shown by each element class
@@ -284,9 +285,11 @@ def _cubes(block: np.ndarray, offsets: np.ndarray, style: CubeStyle, deformation
     in the float order of e * (x + fx * y) and (-e) * (z + fy * y).
     """
     order = np.argsort(-offsets[:, 1], kind="stable")
-    # 0.0 and -0.0 share a key, which is safe: both take the hue 3/4
-    hues = cache(lambda c: hue_to_rgb(nu_of_x(c)))
-    colors = [[hues(c) for c in row] for row in block[order].tolist()]
+    rows = block[order].tolist()
+    # each distinct coefficient's color, in order of first use; 0.0 and
+    # -0.0 share a key, which is safe: both take the hue 3/4
+    hues = {c: hue_to_rgb(nu_of_x(c)) for c in dict.fromkeys([c for row in rows for c in row])}
+    colors = [[hues[c] for c in row] for row in rows]
     world = offsets[order][:, None, :] + _UNIT_CUBE
     if deformation is not None:
         moved = [deformation(p) for p in map(tuple, world.reshape(-1, 3).tolist())]
@@ -337,20 +340,26 @@ def grid_placement(cells, spacing: float = 1.0) -> dict:
     spacing = int(spacing) if _is_int(spacing) else float(spacing)
     out = {}
     for given in cells:
-        cell = given if type(given) is tuple else (int(given),) if _is_int(given) else given
-        try:
-            cell = tuple(cell)
-        except TypeError:
-            raise ValueError(f"cell index must be an integer or a tuple, got {given!r}") from None
-        if not 1 <= len(cell) <= 3:
-            raise ValueError(f"cell index must hold 1 to 3 values, got {cell!r}")
-        try:
-            for p in cell:
-                _check_real(p, "cell index")
-        except ValueError:
-            what = "finite numbers" if all(map(_is_real, cell)) else "numbers"
-            raise ValueError(f"cell index must hold {what}, got {given!r}") from None
-        i, j, k = [int(p) if _is_int(p) else float(p) for p in _padded(cell)]
+        # The common case, checked by exact type: plain ints that a lattice
+        # can hold pass every check below and multiply as given.
+        i, j, k = _padded(given) if type(given) is tuple and 0 < len(given) <= 3 else (None,) * 3
+        if type(i) is type(j) is type(k) is int and max(map(abs, (i, j, k))) <= MAX_CELL_INDEX:
+            cell = given
+        else:
+            cell = given if type(given) is tuple else (int(given),) if _is_int(given) else given
+            try:
+                cell = tuple(cell)
+            except TypeError:
+                raise ValueError(f"cell index must be an integer or a tuple, got {given!r}") from None
+            if not 1 <= len(cell) <= 3:
+                raise ValueError(f"cell index must hold 1 to 3 values, got {cell!r}")
+            try:
+                for p in cell:
+                    _check_real(p, "cell index")
+            except ValueError:
+                what = "finite numbers" if all(map(_is_real, cell)) else "numbers"
+                raise ValueError(f"cell index must hold {what}, got {given!r}") from None
+            i, j, k = [int(p) if _is_int(p) else float(p) for p in _padded(cell)]
         offset = out[cell] = (i * spacing, j * spacing, k * spacing)
         if math.inf in map(abs, offset):  # finite floats whose product overflows
             raise ValueError(f"cell index {given!r} at spacing {spacing!r} "
@@ -394,11 +403,15 @@ def lattice_scene(
     for cell in cells:
         if cell not in placement:
             raise ValueError(f"placement missing cell {cell}")
+        off = placement[cell]
+        if type(off) is tuple and len(off) == 3 and all([type(p) is float for p in off]):
+            offsets.append(off)  # the common case, checked by exact type
+            continue
         try:  # a string is split into characters, which are not numbers
-            off = [_as_float(p, "offset") for p in placement[cell]]
+            off = [_as_float(p, "offset") for p in off]
         except (TypeError, ValueError):
             raise ValueError(f"offset for cell {cell} must hold real numbers, "
-                             f"got {placement[cell]!r}") from None
+                             f"got {off!r}") from None
         if len(off) not in (2, 3):
             raise ValueError(f"offset for cell {cell} must have 2 or 3 components")
         offsets.append(off if len(off) == 3 else [*off, 0.0])
@@ -416,14 +429,41 @@ def _fmt(v: float) -> str:
     return "0.00" if s == "-0.00" else s
 
 
+def _row_template(table: tuple, npoints: int) -> tuple[list, list]:
+    """Literals and a pick order over an item's values: its x strings, its y
+    strings, one color per row, then the literals.  Joined in that order,
+    they give the item's lines, each after a newline."""
+    parts = []  # literal text, or the index of one of the item's values
+    for r, (kind, cls, idx, _, value) in enumerate(table):
+        color = 2 * npoints + r
+        if kind is Polygon:
+            parts.append(f'\n<polygon class="{cls}" points="')
+            for n, i in enumerate(idx):
+                parts += [" "] * (n > 0) + [i, ",", npoints + i]
+            opacity = "" if value >= 1.0 else f' fill-opacity="{value:g}"'
+            parts += ['" fill="', color, f'"{opacity}/>']
+        elif kind is Segment:
+            i, j = idx
+            parts += [f'\n<line class="{cls}" x1="', i, '" y1="', npoints + i, '" x2="', j,
+                      '" y2="', npoints + j, '" stroke="', color,
+                      f'" stroke-width="{value:g}" stroke-linecap="round"/>']
+        else:
+            parts += [f'\n<circle class="{cls}" cx="', idx[0], '" cy="', npoints + idx[0],
+                      f'" r="{value:g}" fill="', color, '"/>']
+    literals = {}  # each distinct text and its place among the literals
+    base = 2 * npoints + len(table)
+    order = [p if type(p) is int else base + literals.setdefault(p, len(literals)) for p in parts]
+    return list(literals), order
+
+
 def emit_svg(scene: Scene, width: int, height: int) -> str:
     """Serialize a scene to SVG 1.1 text, centered in the viewport.
 
     Pure function of its arguments: identical scenes give identical
     bytes.  Colors come out as #RRGGBB fills and strokes, and every
     element carries its class name, so the text parses back losslessly.
-    Cubes share corners, so each distinct coordinate is formatted once
-    per call.
+    The table becomes one row template per call, filled once per item.
+    Cubes share corners, so each distinct coordinate is formatted once.
     """
     if not isinstance(scene, Scene):
         raise TypeError("expected a Scene")
@@ -440,38 +480,21 @@ def emit_svg(scene: Scene, width: int, height: int) -> str:
     # keys that compare equal (0.0 and -0.0) give equal text, "-0.00" -> "0.00"
     xs = cache(lambda x: _fmt(x + dx))
     ys = cache(lambda y: _fmt(y + dy))
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
+        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">\n'
         f'<rect class="background" x="0" y="0" width="{width}" height="{height}" '
-        f'fill="{rgb_to_hex(scene.background)}"/>',
+        f'fill="{rgb_to_hex(scene.background)}"/>'
     ]
-    rows = []  # each table row with its attributes after the color, as text
-    for kind, cls, idx, slot, value in scene._table:
-        if kind is Polygon:
-            attrs = "" if value >= 1.0 else f' fill-opacity="{value:g}"'
-        elif kind is Segment:
-            attrs = f' stroke-width="{value:g}" stroke-linecap="round"'
-        else:
-            attrs = f' r="{value:g}"'
-        rows.append((kind, cls, idx, slot, attrs))
-    for pts, colors in zip(scene._corners.tolist(), scene._colors):
-        px = [xs(x) for x, _ in pts]
-        py = [ys(y) for _, y in pts]
-        pairs = [f"{x},{y}" for x, y in zip(px, py)]
-        for kind, cls, idx, slot, attrs in rows:
-            color = rgb_to_hex(colors[slot])
-            if kind is Polygon:
-                lines.append(f'<polygon class="{cls}" points="{" ".join([pairs[i] for i in idx])}" '
-                             f'fill="{color}"{attrs}/>')
-            elif kind is Segment:
-                i, j = idx
-                lines.append(f'<line class="{cls}" x1="{px[i]}" y1="{py[i]}" x2="{px[j]}" '
-                             f'y2="{py[j]}" stroke="{color}"{attrs}/>')
-            else:
-                i = idx[0]
-                lines.append(f'<circle class="{cls}" cx="{px[i]}" cy="{py[i]}"{attrs} '
-                             f'fill="{color}"/>')
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    # An empty table draws nothing, and itemgetter needs an index; a row
+    # always picks a literal and a color, so the pick gives a tuple.
+    if scene._table:
+        literals, order = _row_template(scene._table, scene._corners.shape[1])
+        pick, slots = itemgetter(*order), [row.slot for row in scene._table]
+        xy = scene._corners.transpose(2, 0, 1).tolist()
+        for px, py, colors in zip(*xy, scene._colors):
+            out.append("".join(pick([*map(xs, px), *map(ys, py),
+                                     *[rgb_to_hex(colors[s]) for s in slots], *literals])))
+    out.append("\n</svg>\n")
+    return "".join(out)

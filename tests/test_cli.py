@@ -311,3 +311,24 @@ def test_render_flag_defaults_build_the_default_style(command):
 def test_each_style_flag_sets_its_own_field(command, flag, field, value):
     args = build_parser().parse_args([command, "in.json", "--output", "out.svg", flag, str(value)])
     assert _style_from_args(args) == replace(CubeStyle(), **{field: value})
+
+
+@pytest.mark.parametrize("trials", [10**20, 1_000_001])
+def test_verify_rejects_trials_past_the_cap_before_any_suite(trials, capsys, monkeypatch):
+    import combcube.cli as cli
+
+    def no_suite(*args):
+        raise AssertionError("a suite ran")
+
+    for name in ("_suite_algebra", "_suite_colorwheel", "_suite_basis_agreement",
+                 "_suite_random_circuits", "_suite_teleport", "_suite_involutions"):
+        monkeypatch.setattr(cli, name, no_suite)
+    assert run(["verify", "--trials", str(trials)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --trials must be at most 1000000, got {trials}\n"
+
+
+def test_verify_keeps_its_message_for_trials_below_one(capsys):
+    assert run(["verify", "--trials", "-3"]) == 2
+    assert capsys.readouterr().err == "error: --trials must be at least 1\n"

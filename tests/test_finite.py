@@ -105,3 +105,34 @@ def test_checked_arrays_own_their_data_and_are_read_only():
     for lat in (lattice_from_json(text), LatticeMultivector({(2,): Multivector.scalar(1.0, 3)})):
         _assert_owned_and_frozen(lat._block)
         _assert_owned_and_frozen(apply_circuit_lattice(teleport_network(), lat)._block)
+
+
+_BIG = Multivector([1e308] * 8, 3)
+_OVERFLOWS = {
+    "mv * 10**400": lambda: Multivector.blade(1, 3, 2.0) * 10**400,
+    "10**400 * mv": lambda: 10**400 * Multivector.blade(1, 3, 2.0),
+    "mv / 0": lambda: Multivector.blade(1, 3, 2.0) / 0,
+    "mv / -0.0 on zeros": lambda: Multivector.zero(3) / -0.0,
+    "1e300 * 1e300": lambda: Multivector([1e300] * 8, 3) * 1e300,
+    "big + big": lambda: _BIG + _BIG,
+    "big - (-big)": lambda: _BIG - (-_BIG),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OVERFLOWS))
+def test_operators_report_an_overflow_as_non_finite_coefficients(name):
+    # called bare: a numpy warning here is an error under the test config
+    with pytest.raises(ValueError, match="^coefficients must be finite$"):
+        _OVERFLOWS[name]()
+
+
+def test_operators_keep_their_values_and_the_callers_float_state():
+    mv = Multivector([1.0, -2.0, 0.5, 0.0, -0.0, 3.0, 1e-300, -4.0], 3)
+    assert (mv + mv).coeffs.tobytes() == (mv.coeffs + mv.coeffs).tobytes()
+    assert (mv - mv).coeffs.tobytes() == (mv.coeffs - mv.coeffs).tobytes()
+    assert (mv * 3).coeffs.tobytes() == (mv.coeffs * 3.0).tobytes()
+    assert (mv / 7).coeffs.tobytes() == (mv.coeffs / 7.0).tobytes()
+    before = np.geterr()
+    with pytest.raises(ValueError):
+        _BIG + _BIG
+    assert np.geterr() == before

@@ -1,0 +1,349 @@
+"""The lattice frame's text paths against their former loops.
+
+``emit_svg`` fills one row template per call and ``lattice_to_json``
+formats each distinct coefficient once per call; ``grid_placement`` and
+``lattice_scene`` recognise plain ints and float offsets by exact type
+before their full checks.  The former per-row emitter, the former
+per-value lattice writer and the former all-checks placement are kept
+here as the bitwise references.
+"""
+
+import math
+import struct
+from functools import cache
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from combcube import colorwheel, render
+from combcube.algebra import Multivector, _check_real, _is_int, _is_real
+from combcube.coding import LatticeMultivector, _key_words, _padded, lattice_from_json, lattice_to_json
+from combcube.colorwheel import hue_to_rgb, rgb_to_hex
+from combcube.render import (
+    CubeStyle,
+    Disc,
+    Polygon,
+    Scene,
+    Segment,
+    cube_scene,
+    emit_svg,
+    grid_placement,
+    lattice_scene,
+    scene_bbox,
+    sine_warp,
+)
+
+# -- the former loops, kept as the bitwise references ------------------------
+
+
+def _ref_emit_svg(scene, width, height):
+    """The former emitter: one f-string per primitive, row after row."""
+    bbox = scene_bbox(scene)
+    if bbox is None:
+        dx = dy = 0.0
+    else:
+        x0, y0, x1, y1 = bbox
+        dx = width / 2.0 - (x0 + x1) / 2.0
+        dy = height / 2.0 - (y0 + y1) / 2.0
+    xs = cache(lambda x: render._fmt(x + dx))
+    ys = cache(lambda y: render._fmt(y + dy))
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
+        f'<rect class="background" x="0" y="0" width="{width}" height="{height}" '
+        f'fill="{rgb_to_hex(scene.background)}"/>',
+    ]
+    rows = []
+    for kind, cls, idx, slot, value in scene._table:
+        if kind is Polygon:
+            attrs = "" if value >= 1.0 else f' fill-opacity="{value:g}"'
+        elif kind is Segment:
+            attrs = f' stroke-width="{value:g}" stroke-linecap="round"'
+        else:
+            attrs = f' r="{value:g}"'
+        rows.append((kind, cls, idx, slot, attrs))
+    for pts, colors in zip(scene._corners.tolist(), scene._colors):
+        px = [xs(x) for x, _ in pts]
+        py = [ys(y) for _, y in pts]
+        pairs = [f"{x},{y}" for x, y in zip(px, py)]
+        for kind, cls, idx, slot, attrs in rows:
+            color = rgb_to_hex(colors[slot])
+            if kind is Polygon:
+                lines.append(f'<polygon class="{cls}" points="{" ".join([pairs[i] for i in idx])}" '
+                             f'fill="{color}"{attrs}/>')
+            elif kind is Segment:
+                i, j = idx
+                lines.append(f'<line class="{cls}" x1="{px[i]}" y1="{py[i]}" x2="{px[j]}" '
+                             f'y2="{py[j]}" stroke="{color}"{attrs}/>')
+            else:
+                i = idx[0]
+                lines.append(f'<circle class="{cls}" cx="{px[i]}" cy="{py[i]}"{attrs} '
+                             f'fill="{color}"/>')
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+def _ref_json_number(v):
+    text = format(float(v), ".17g")
+    return "-0.0" if text == "-0" else text
+
+
+def _ref_lattice_to_json(lat):
+    """The former writer: every coefficient formatted where it is written."""
+    if len(lat) == 0:
+        return "{}\n"
+    blocks = []
+    for cell, row in zip(lat.cell_indices(), lat._block.tolist()):
+        body = ",\n".join(f'    "{key}": {_ref_json_number(row[word])}'
+                          for key, word in _key_words(3).items())
+        blocks.append(f'  "{",".join(map(str, cell))}": {{\n{body}\n  }}')
+    return "{\n" + ",\n".join(blocks) + "\n}\n"
+
+
+def _ref_grid_placement(cells, spacing=1.0):
+    """The former placement: every cell through every check."""
+    try:
+        _check_real(spacing, "spacing")
+    except ValueError:
+        raise ValueError(f"spacing must be a finite real number, got {spacing!r}") from None
+    spacing = int(spacing) if _is_int(spacing) else float(spacing)
+    out = {}
+    for given in cells:
+        cell = given if type(given) is tuple else (int(given),) if _is_int(given) else given
+        try:
+            cell = tuple(cell)
+        except TypeError:
+            raise ValueError(f"cell index must be an integer or a tuple, got {given!r}") from None
+        if not 1 <= len(cell) <= 3:
+            raise ValueError(f"cell index must hold 1 to 3 values, got {cell!r}")
+        try:
+            for p in cell:
+                _check_real(p, "cell index")
+        except ValueError:
+            what = "finite numbers" if all(map(_is_real, cell)) else "numbers"
+            raise ValueError(f"cell index must hold {what}, got {given!r}") from None
+        i, j, k = [int(p) if _is_int(p) else float(p) for p in _padded(cell)]
+        offset = out[cell] = (i * spacing, j * spacing, k * spacing)
+        if math.inf in map(abs, offset):
+            raise ValueError(f"cell index {given!r} at spacing {spacing!r} "
+                             f"gives a non-finite offset {offset!r}")
+    return out
+
+
+# -- emit_svg ----------------------------------------------------------------
+
+_BG = hue_to_rgb(0.75)
+_RED, _GREEN = (1.0, 0.0, 0.0), (0.0, 0.5, 0.25)
+_SQUARE = ((0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0))
+_HAND_BUILT = {
+    "empty": Scene(_BG),
+    "disc": Scene(_BG, [Disc((3.0, -4.0), 2.5, _RED, "dot")]),
+    "segment": Scene(_BG, [Segment((-1.0, 2.0), (7.5, -0.25), _GREEN, 1.5, "stroke")]),
+    "opaque polygon": Scene(_BG, [Polygon(_SQUARE, _RED, 1.0, "face")]),
+    "translucent polygon": Scene(_BG, [Polygon(_SQUARE, _GREEN, 0.5, "face")]),
+    "mix": Scene(_BG, [
+        Polygon(_SQUARE, _RED, 0.5, "back"),
+        Polygon(((1.0, 1.0), (-0.0, 2.0), (3.0, 0.0)), _GREEN, 1.0, "tri"),
+        Polygon((), _RED, 0.25, "none"),
+        Segment((0.0, 0.0), (10.0, 10.0), _GREEN, 3.0, "diag"),
+        Disc((5.0, 5.0), 1.0, _RED, "%s {0} \\"),
+        Segment((10.0, 10.0), (0.0, 0.0), _RED, 0.5, "diag"),
+        Disc((-0.0, 0.0), 4.0, _GREEN, "origin"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HAND_BUILT))
+def test_hand_built_scenes_emit_as_the_former_loop(name):
+    scene = _HAND_BUILT[name]
+    for width, height in ((1, 1), (200, 100), (641, 479)):
+        assert emit_svg(scene, width, height) == _ref_emit_svg(scene, width, height)
+
+
+def test_an_empty_scene_is_its_header_and_footer():
+    assert emit_svg(Scene(_BG), 20, 10).splitlines() == [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        'width="20" height="10" viewBox="0 0 20 10">',
+        f'<rect class="background" x="0" y="0" width="20" height="10" fill="{rgb_to_hex(_BG)}"/>',
+        "</svg>",
+    ]
+
+
+@pytest.mark.parametrize("mode", ["redundant", "representative"])
+def test_styled_cube_scenes_emit_as_the_former_loop(mode):
+    style = CubeStyle(mode=mode, background=0.1, angle_deg=40.0, foreshortening=0.7, edge=60.0,
+                      stroke_width=1.5, corner_radius=2.5, wall_opacity=1.0,
+                      interior_opacity=0.125)
+    mv = Multivector([-0.07, 0.32, -3.08, 1.06, -0.85, 0.27, -0.0, 4.07], 3)
+    for scene in (cube_scene(mv, style), cube_scene(mv, CubeStyle(mode=mode))):
+        assert emit_svg(scene, 640, 480) == _ref_emit_svg(scene, 640, 480)
+
+
+def test_rgb_to_hex_runs_once_per_primitive_and_once_for_the_backdrop(monkeypatch):
+    calls = []
+
+    def counted(color):
+        calls.append(color)
+        return rgb_to_hex(color)
+
+    monkeypatch.setattr(render, "rgb_to_hex", counted)
+    scene = lattice_scene(_edge_lattice(), deformation=sine_warp())
+    emit_svg(scene, 900, 700)
+    assert len(calls) == scene._primitives + 1 == 27 * len(_edge_lattice()) + 1
+
+
+# -- lattice_to_json ---------------------------------------------------------
+
+_EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1, 0.1, -2.5, 1.0)
+
+
+def _edge_lattice():
+    """Cells that hold 0.0 and -0.0 side by side, extremes and repeats."""
+    rows = [np.roll(_EDGE_VALUES, r)[:8] for r in range(4)]
+    rows.append([-0.0, 0.0] * 4)
+    rows.append([0.1] * 8)
+    cells = [(0,), (1, 0), (-2, 3), (0, 0, 5), (4, -1, 2), (7,)]
+    return LatticeMultivector({cell: Multivector(row, 3) for cell, row in zip(cells, rows)})
+
+
+def test_lattice_json_matches_the_former_writer_on_edge_values():
+    lat = _edge_lattice()
+    text = lattice_to_json(lat)
+    assert text == _ref_lattice_to_json(lat)
+    values = {line.rsplit(": ", 1)[1].rstrip(",") for line in text.splitlines()
+              if line.startswith("    ")}
+    assert {"0", "-0.0", "4.9406564584124654e-324", "-1.0000000000000001e+300"} <= values
+    back = lattice_from_json(text)
+    assert back == lat
+    assert back._block.view(np.int64).tolist() == lat._block.view(np.int64).tolist()
+
+
+def test_lattice_json_of_an_empty_lattice():
+    assert lattice_to_json(LatticeMultivector({})) == _ref_lattice_to_json(LatticeMultivector({}))
+
+
+def test_edge_lattice_scene_emits_as_the_former_loop():
+    lat = _edge_lattice()
+    for style in (CubeStyle(), CubeStyle(mode="representative")):
+        scene = lattice_scene(lat, style, deformation=sine_warp())
+        assert emit_svg(scene, 900, 700) == _ref_emit_svg(scene, 900, 700)
+
+
+def test_nu_of_x_runs_once_per_distinct_coefficient(monkeypatch):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return colorwheel.nu_of_x(x)
+
+    monkeypatch.setattr(render, "nu_of_x", counted)
+    lat = _edge_lattice()
+    lattice_scene(lat)
+    # 0.0 and -0.0 share a color, as both take the hue of zero; the values
+    # are met in paint order, far cells (larger j) first
+    order = np.argsort([-_padded(cell)[1] for cell in lat.cell_indices()], kind="stable")
+    first_seen = dict.fromkeys(lat._block[order].ravel().tolist())
+    assert len(first_seen) == len(set(lat._block.ravel().tolist())) < lat._block.size
+    assert [struct.pack("<d", x) for x in calls] == [struct.pack("<d", x) for x in first_seen]
+
+
+_COEFF = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 0.5, -0.5, 1 / 3,
+                          1.7976931348623157e308])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.integers(-4, 4), min_size=1, max_size=3),
+                          st.lists(_COEFF, min_size=8, max_size=8)),
+                min_size=0, max_size=12))
+def test_lattice_blocks_write_and_draw_as_the_former_loops(entries):
+    cells = {}
+    for cell, row in entries:
+        cells.setdefault(_padded(tuple(cell)), (tuple(cell), row))
+    lat = LatticeMultivector({cell: Multivector(row, 3) for cell, row in cells.values()})
+    assert lattice_to_json(lat) == _ref_lattice_to_json(lat)
+    scene = lattice_scene(lat, CubeStyle(mode="representative"))
+    assert emit_svg(scene, 300, 200) == _ref_emit_svg(scene, 300, 200)
+
+
+# -- grid_placement and offsets -----------------------------------------------
+
+
+def _outcome(f, *args):
+    """A call's result with the type of every number in it, or its error message."""
+    try:
+        out = f(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+    return [(cell, tuple(map(type, cell)), off, tuple(map(type, off))) for cell, off in out.items()]
+
+
+_PLACEMENTS = [
+    ([(1, 2), (0,), (3, -1, 2)], 1.0),
+    ([(1, 2), (0,), (3, -1, 2)], 2),
+    ([(np.int64(1), np.int32(2)), (np.int8(-3),)], 1.0),
+    ([(1.5, 2), (0.25, -0.5, 3.0)], 2.0),
+    ([5, np.int64(-2), (1, 2)], 0.5),
+    ([(2**1022, -(2**1022), 0)], 1),
+    ([(2**1023, 0)], 1),
+    ([(10**400,)], 1.0),
+    ([(10**400,)], 1),
+    ([(1, 2), (2, 0)], 1e308),
+    ([(0, 1), (0, 0, 0, 0)], 1.0),
+    ([(0, 1), ()], 1.0),
+    ([(1, "2")], 1.0),
+    ([(1, True)], 1.0),
+    ([(1, math.nan)], 1.0),
+    ([None], 1.0),
+]
+
+
+@pytest.mark.parametrize("cells, spacing", _PLACEMENTS)
+def test_grid_placement_matches_the_full_checks(cells, spacing):
+    assert _outcome(grid_placement, cells, spacing) == _outcome(_ref_grid_placement, cells, spacing)
+
+
+def test_grid_placement_names_the_overflowing_cell_on_either_path():
+    for cell in ((2, 0), (np.int64(2), 0)):
+        with pytest.raises(ValueError, match=r"at spacing 1e\+308 gives a non-finite offset"):
+            grid_placement([(1, 0), cell], 1e308)
+
+
+def test_offsets_as_tuples_lists_and_numpy_floats_draw_one_scene():
+    lat = _edge_lattice()
+    tuples = grid_placement(lat.cell_indices(), 1.5)
+    shapes = [
+        tuples,
+        {cell: list(off) for cell, off in tuples.items()},
+        {cell: tuple(map(np.float64, off)) for cell, off in tuples.items()},
+        {cell: np.array(off) for cell, off in tuples.items()},
+        {cell: (off[0], off[1], np.float32(off[2])) for cell, off in tuples.items()},
+    ]
+    want = emit_svg(lattice_scene(lat, placement=tuples), 800, 600)
+    for placement in shapes:
+        scene = lattice_scene(lat, placement=placement)
+        assert emit_svg(scene, 800, 600) == want
+    # two components lie in the x-y plane
+    flat = {cell: (0.5 * i, -0.25 * j) for i, cell in enumerate(lat.cell_indices())
+            for j in [len(cell)]}
+    for placement in (flat, {cell: (*off, 0.0) for cell, off in flat.items()},
+                      {cell: [*map(np.float64, off)] for cell, off in flat.items()}):
+        assert (emit_svg(lattice_scene(lat, placement=placement), 800, 600)
+                == emit_svg(lattice_scene(lat, placement=flat), 800, 600))
+
+
+def test_offsets_keep_their_messages_beside_float_tuples():
+    lat = _edge_lattice()
+    good = grid_placement(lat.cell_indices())
+    first = lat.cell_indices()[0]
+    for bad, message in (((1.0, "2"), "must hold real numbers"),
+                         ((1.0, 2.0, 3.0, 4.0), "must have 2 or 3 components"),
+                         ((1.0,), "must have 2 or 3 components"),
+                         ("ab", "must hold real numbers")):
+        with pytest.raises(ValueError, match=message):
+            lattice_scene(lat, placement={**good, first: bad})
+    with pytest.raises(ValueError, match="must be finite"):
+        lattice_scene(lat, placement={**good, first: (math.inf, 0.0, 0.0)})
