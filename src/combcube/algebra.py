@@ -80,8 +80,9 @@ def _check_real(value, name: str) -> float:
     return x
 
 
-# no numpy warning for an overflow that the finiteness check then reports
-_quiet_float_errors = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _quiet_float_errors():
+    """No numpy warning for an overflow that the finiteness check then reports."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 def _check_dim(dim) -> None:
@@ -198,17 +199,17 @@ class Multivector:
 
     __hash__ = None
 
-    @_quiet_float_errors
     def __add__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented
-        return Multivector(self._coeffs + other._coeffs, _check_same_dim(self, other))
+        with _quiet_float_errors():
+            return Multivector(self._coeffs + other._coeffs, _check_same_dim(self, other))
 
-    @_quiet_float_errors
     def __sub__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented
-        return Multivector(self._coeffs - other._coeffs, _check_same_dim(self, other))
+        with _quiet_float_errors():
+            return Multivector(self._coeffs - other._coeffs, _check_same_dim(self, other))
 
     def __neg__(self):
         return Multivector(-self._coeffs, self._dim)
@@ -218,17 +219,17 @@ class Multivector:
             return geometric_product(self, other)
         return self.__rmul__(other)
 
-    @_quiet_float_errors
     def __rmul__(self, other):
         if not _is_real(other):
             return NotImplemented
-        return Multivector(self._coeffs * _as_float(other, "scalar"), self._dim)
+        with _quiet_float_errors():
+            return Multivector(self._coeffs * _as_float(other, "scalar"), self._dim)
 
-    @_quiet_float_errors
     def __truediv__(self, other):
         if not _is_real(other):
             return NotImplemented
-        return Multivector(self._coeffs / _as_float(other, "scalar"), self._dim)
+        with _quiet_float_errors():
+            return Multivector(self._coeffs / _as_float(other, "scalar"), self._dim)
 
     def __repr__(self) -> str:
         terms = []

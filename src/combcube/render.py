@@ -286,8 +286,7 @@ def _cubes(block: np.ndarray, offsets: np.ndarray, style: CubeStyle, deformation
     """
     order = np.argsort(-offsets[:, 1], kind="stable")
     rows = block[order].tolist()
-    # each distinct coefficient's color, in order of first use; 0.0 and
-    # -0.0 share a key, which is safe: both take the hue 3/4
+    # one color per distinct coefficient; 0.0 and -0.0 share the hue 3/4
     hues = {c: hue_to_rgb(nu_of_x(c)) for c in dict.fromkeys([c for row in rows for c in row])}
     colors = [[hues[c] for c in row] for row in rows]
     world = offsets[order][:, None, :] + _UNIT_CUBE
@@ -443,10 +442,9 @@ def _row_template(table: tuple, npoints: int) -> tuple[list, list]:
             opacity = "" if value >= 1.0 else f' fill-opacity="{value:g}"'
             parts += ['" fill="', color, f'"{opacity}/>']
         elif kind is Segment:
-            i, j = idx
-            parts += [f'\n<line class="{cls}" x1="', i, '" y1="', npoints + i, '" x2="', j,
-                      '" y2="', npoints + j, '" stroke="', color,
-                      f'" stroke-width="{value:g}" stroke-linecap="round"/>']
+            (i, j), (yi, yj) = idx, (npoints + idx[0], npoints + idx[1])
+            parts += [f'\n<line class="{cls}" x1="', i, '" y1="', yi, '" x2="', j, '" y2="', yj,
+                      '" stroke="', color, f'" stroke-width="{value:g}" stroke-linecap="round"/>']
         else:
             parts += [f'\n<circle class="{cls}" cx="', idx[0], '" cy="', npoints + idx[0],
                       f'" r="{value:g}" fill="', color, '"/>']
