@@ -420,8 +420,8 @@ def lattice_to_json(lat: LatticeMultivector) -> str:
     template = '  "%s": {\n' + ",\n".join(f'    "{key}": %s' for key in words) + "\n  }"
     ordered = lat._block[:, list(words.values())]
     patterns = ordered.view(np.int64)
-    texts = dict(zip(patterns.ravel().tolist(), ordered.ravel().tolist()))
-    texts = {bits: _json_number(value) for bits, value in texts.items()}
+    values = dict(zip(patterns.ravel().tolist(), ordered.ravel().tolist()))
+    texts = {bits: _json_number(value) for bits, value in values.items()}
     blocks = [template % (",".join(map(str, cell)), *map(texts.__getitem__, row))
               for cell, row in zip(lat.cell_indices(), patterns.tolist())]
     return "{\n" + ",\n".join(blocks) + "\n}\n"
