@@ -2,6 +2,8 @@
 teleportation network, a value-to-hue color map, and colored-cube SVG
 rendering, cross-checked by an independent tensor-product simulator."""
 
+from types import ModuleType as _ModuleType
+
 from .algebra import (
     MAX_DIM,
     Multivector,
@@ -22,8 +24,6 @@ from .coding import (
     decode,
     encode,
     lattice_from_json,
-    lattice_get,
-    lattice_set,
     lattice_to_json,
     multivector_from_json,
     multivector_to_json,
@@ -69,63 +69,6 @@ from .statevector import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MAX_DIM",
-    "Multivector",
-    "blade_product",
-    "geometric_product",
-    "grade_projection",
-    "inner_product",
-    "outer_product",
-    "MAX_CELL_INDEX",
-    "LatticeMultivector",
-    "bell_basis",
-    "bell_carrier",
-    "bits_to_key",
-    "comb",
-    "comb_bits",
-    "decode",
-    "encode",
-    "lattice_from_json",
-    "lattice_get",
-    "lattice_set",
-    "lattice_to_json",
-    "multivector_from_json",
-    "multivector_to_json",
-    "RgbColor",
-    "hue_to_rgb",
-    "nu_of_x",
-    "rgb_to_hex",
-    "x_of_nu",
-    "Circuit",
-    "Gate",
-    "apply_circuit",
-    "apply_circuit_lattice",
-    "apply_cx",
-    "apply_cz",
-    "apply_gate",
-    "apply_h",
-    "apply_x",
-    "apply_z",
-    "circuit_from_json",
-    "circuit_to_json",
-    "teleport",
-    "teleport_network",
-    "CubeStyle",
-    "Disc",
-    "ELEMENT_WORDS",
-    "Polygon",
-    "Scene",
-    "Segment",
-    "cube_scene",
-    "emit_svg",
-    "grid_placement",
-    "lattice_scene",
-    "scene_bbox",
-    "sine_warp",
-    "StateVector",
-    "equivalence_check",
-    "sv_apply_circuit",
-    "sv_apply_gate",
-    "sv_teleport",
-]
+# every public name imported above, in import order
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -63,8 +64,16 @@ _MARGIN = 20.0
 _MAX_TRIALS = 1_000_000  # 1,000 trials take about 1.5 s, so this is about half an hour
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads -1e-3 as a value; argparse's own negative-number pattern misses it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="combcube",
         description="Comb-coded multivectors: teleportation, cube figures, verification.",
     )
@@ -355,6 +364,8 @@ def _cmd_verify(args) -> int:
         raise ValueError("--trials must be at least 1")
     if args.trials > _MAX_TRIALS:
         raise ValueError(f"--trials must be at most {_MAX_TRIALS}, got {args.trials}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be at least 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     clock = _StageClock()
     exact_dev, assoc_dev = _suite_algebra(rng, args.trials)

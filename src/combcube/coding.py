@@ -320,14 +320,6 @@ class LatticeMultivector:
         return f"LatticeMultivector({len(self._cells)} cells)"
 
 
-def lattice_set(lat: LatticeMultivector, cell, mv: Multivector) -> LatticeMultivector:
-    return lat.set(cell, mv)
-
-
-def lattice_get(lat: LatticeMultivector, cell) -> Multivector:
-    return lat.get(cell)
-
-
 # -- file formats -----------------------------------------------------------
 # Coefficient tables are JSON objects {"A1A2...An": number}; lattice files
 # are JSON objects {"i,j,k": table}.  Numbers are written with 17

@@ -8,10 +8,12 @@ asserting, so a red run still reports every criterion it reached.
 import collections
 import math
 import time
+import types
 import xml.etree.ElementTree as ET
 
 import numpy as np
 
+import combcube
 from combcube.algebra import Multivector, geometric_product
 from combcube.coding import LatticeMultivector, bell_carrier, comb, encode
 from combcube.colorwheel import hue_to_rgb, nu_of_x, rgb_to_hex, x_of_nu
@@ -268,3 +270,14 @@ def test_criterion_8_lattice_teleportation():
         cellwise_ok and dev <= 1e-12 and colors_ok,
         f"max dev {dev:.3e}, 16 cells",
     )
+
+
+def test_public_surface_is_the_imported_names():
+    namespace = {}
+    exec("from combcube import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(combcube.__all__)
+    assert len(set(combcube.__all__)) == len(combcube.__all__)
+    assert not any(isinstance(getattr(combcube, name), types.ModuleType)
+                   for name in combcube.__all__)
+    assert not {"lattice_get", "lattice_set", "ModuleType", "isclose"} & set(combcube.__all__)

@@ -5,6 +5,8 @@ multiplies generator strings by explicit bubble reordering; the fast
 bit-twiddling implementation must agree with it everywhere.
 """
 
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -211,6 +213,14 @@ def test_geometric_product_scalar_identity():
 def test_geometric_product_dimension_mismatch():
     with pytest.raises(ValueError):
         geometric_product(Multivector.zero(2), Multivector.zero(3))
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub])
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2)])
+def test_add_and_sub_check_dimensions_first(op, dims):
+    a, b = (Multivector.zero(d) for d in dims)
+    with pytest.raises(ValueError, match=f"^dimension mismatch: {dims[0]} vs {dims[1]}$"):
+        op(a, b)
 
 
 def test_generator_relations_exact():

@@ -332,3 +332,43 @@ def test_verify_rejects_trials_past_the_cap_before_any_suite(trials, capsys, mon
 def test_verify_keeps_its_message_for_trials_below_one(capsys):
     assert run(["verify", "--trials", "-3"]) == 2
     assert capsys.readouterr().err == "error: --trials must be at least 1\n"
+
+
+def test_verify_rejects_a_negative_seed_before_any_suite(capsys, monkeypatch):
+    import combcube.cli as cli
+
+    def no_suite(*args):
+        raise AssertionError("a suite ran")
+
+    for name in ("_suite_algebra", "_suite_colorwheel", "_suite_basis_agreement",
+                 "_suite_random_circuits", "_suite_teleport", "_suite_involutions"):
+        monkeypatch.setattr(cli, name, no_suite)
+    assert run(["verify", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --seed must be at least 0, got -1\n"
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["teleport", "--beta", "0.5"], "--alpha", "-1e-3"),
+    (["teleport", "--beta", "0.5"], "--alpha", "-1E+2"),
+    (["teleport", "--alpha", "0.5"], "--beta", "-.5e1"),
+    (["color"], "--x", "-2.5e-1"),
+    (["color"], "--nu", "-1e-3"),
+    (["render", "in.json", "--output", "out.svg"], "--background", "-1e-1"),
+])
+def test_negative_values_in_scientific_notation_are_values(tmp_path, monkeypatch, capsys,
+                                                           argv, flag, value):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "in.json").write_text(EXAMPLE_JSON)
+    joined = run(argv + [f"{flag}={value}"])
+    expected = capsys.readouterr()
+    assert run(argv + [flag, value]) == joined
+    assert capsys.readouterr() == expected
+
+
+def test_an_option_after_a_float_flag_is_still_an_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["teleport", "--alpha", "-x", "--beta", "0.5"])
+    assert exc.value.code == 2
+    assert "argument --alpha: expected one argument" in capsys.readouterr().err

@@ -22,8 +22,6 @@ from combcube.coding import (
     encode,
     key_to_cell,
     lattice_from_json,
-    lattice_get,
-    lattice_set,
     lattice_to_json,
     multivector_from_json,
     multivector_to_json,
@@ -162,13 +160,13 @@ def test_bell_basis_is_orthonormal():
 def test_lattice_set_get_roundtrip():
     lat = LatticeMultivector()
     mv = encode(EXAMPLE_TABLE, 3)
-    lat2 = lattice_set(lat, (0, 1, 2), mv)
-    assert lattice_get(lat2, (0, 1, 2)) == mv
+    lat2 = lat.set((0, 1, 2), mv)
+    assert lat2.get((0, 1, 2)) == mv
     assert len(lat2) == 1
     # the original is untouched and absent cells read as zero
     assert len(lat) == 0
-    assert lattice_get(lat, (0, 1, 2)) == Multivector.zero(3)
-    assert lattice_get(lat2, (5,)) == Multivector.zero(3)
+    assert lat.get((0, 1, 2)) == Multivector.zero(3)
+    assert lat2.get((5,)) == Multivector.zero(3)
 
 
 def test_lattice_accepts_short_indices():
@@ -209,7 +207,7 @@ def test_lattice_lookups_pad_like_stored_cells():
         assert cell in lat
         assert lat.get(cell) == mv
     for cell in ((2,), (2, 0), (2, 0, 0), 2):
-        assert lattice_get(lat, cell) == 2 * mv
+        assert lat.get(cell) == 2 * mv
     assert lat.get((1, 1, 1)) == 3 * mv
     for cell in ((1, 1), (0, 0, 1), (2, 1), (1,)):
         assert cell not in lat
@@ -219,8 +217,8 @@ def test_lattice_lookups_pad_like_stored_cells():
 def test_lattice_set_order_does_not_matter():
     a = encode({"000": 1.0}, 3)
     b = encode({"111": -2.0}, 3)
-    one = lattice_set(lattice_set(LatticeMultivector(), (0, 0), a), (1, 1), b)
-    other = lattice_set(lattice_set(LatticeMultivector(), (1, 1), b), (0, 0), a)
+    one = LatticeMultivector().set((0, 0), a).set((1, 1), b)
+    other = LatticeMultivector().set((1, 1), b).set((0, 0), a)
     assert one == other
 
 
