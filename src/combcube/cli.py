@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import Multivector
+from .algebra import Multivector, _quiet_float_errors
 from .coding import (
     _fmt_number,
     _key_words,
@@ -405,10 +405,9 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # A value that overflows is rejected by a finiteness check with its
-    # own message, so numpy's overflow and invalid-value warnings would
-    # only repeat it; library callers keep them.
+    # own message, so numpy's float warnings would only repeat it.
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with _quiet_float_errors():
             return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

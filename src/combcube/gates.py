@@ -9,20 +9,16 @@ permutations and sign flips, not geometric-product multiplications:
 left-multiplying by a generator would pick up blade-reordering signs
 and the action would no longer be bitwise.
 
-Every entry point compiles its gates into stages once and runs the
-stages on the coefficient axis of an array of shape (..., 2**dim).  A
-run of X, Z, CX and CZ gates composes into one signed gather
-``y = s * x[q]``; each H closes a stage
-``(sa * x[qa] + sb * x[qb]) / sqrt(2)``; a signed gather that is left
-over after the last H ends the stages.  Signs are exactly +-1 and the
-two H terms are added as (X part) + (Z part), so the result is
-bit-identical to applying the gates one at a time.  Compiling reads
-per-dimension tables built once on first use (the words, and per bit
-the toggled words and the bit-set mask: 98 KiB at dim 10 and
-9.5 MiB at dim 16); nothing is cached per circuit.  A non-finite value
-made on the way carries through to the end, where the Multivector
-check, or for a lattice one check of its whole coefficient block,
-rejects it.
+Every entry point compiles its gates into one step per gate and runs
+the steps on the coefficient axis of an array of shape (..., 2**dim):
+X and CX are one gather ``x[q]``, Z and CZ one sign flip ``s * x``
+with signs exactly +-1, and H is ``(x[q] + s * x) / sqrt(2)``, the X
+part plus the Z part.  Compiling reads per-dimension tables built once
+on first use (the words, and per bit the toggled words and the bit-set
+mask: 98 KiB at dim 10 and 9.5 MiB at dim 16); nothing is cached per
+circuit.  A non-finite value made on the way carries through to the
+end, where the Multivector check, or for a lattice one check of its
+whole coefficient block, rejects it.
 
 ``teleport_network`` is the six-gate sequence that moves a payload
 sitting on bit 1 across the entangled carrier on bits 2 and 3, landing
@@ -37,7 +33,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import _INV_SQRT2, Multivector, _all_finite, _as_float, _is_int, geometric_product
+from .algebra import (_INV_SQRT2, Multivector, _all_finite, _as_float, _is_int,
+                      _quiet_float_errors, geometric_product)
 from .coding import _LATTICE_DIM, LatticeMultivector, _load_json, bell_carrier
 
 GATE_KINDS = ("X", "Z", "H", "CX", "CZ")
@@ -117,65 +114,47 @@ def _bit_tables(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
-def _signs(flip):
-    """+-1.0 signs from a negation mask; None stays None (all +1)."""
-    return None if flip is None else np.where(flip, -1.0, 1.0)
+def _signs(flip) -> np.ndarray:
+    """+-1.0 signs from a negation mask."""
+    return np.where(flip, -1.0, 1.0)
 
 
 def _compile(ops, dim: int) -> tuple:
-    """Stages of (kind, target, control) gate triples on 2**dim coefficients.
-
-    A stage is a tuple of one or two signed-gather terms ``(q, s)``; a
-    None index or sign stands for the identity or all +1.  The pending
-    gather is ``y = x[q]`` negated where the bool mask ``f`` is set;
-    ``f`` may be a table row, so it is only ever replaced, never updated
-    in place.
+    """One step ``(q, s)`` per (kind, target, control) gate triple on
+    2**dim coefficients: a gather index, a +-1 sign array, or both for H.
     """
     words, toggled, masks = _bit_tables(dim)
-    stages = []
-    q = f = None  # the pending gather index and negation mask
+    steps = []
     for kind, k, l in ops:
         b = _check_bit(dim, k)
         if kind in _CONTROLLED:
             c = _check_bit(dim, l, role="control")
             if k == l:
                 raise ValueError("control and target bits must differ")
-        if kind == "H":  # closes a stage: (X part) + (Z part)
-            idx = toggled[b]
-            stages.append((
-                (idx if q is None else q[idx], None if f is None else _signs(f[idx])),
-                (q, _signs(masks[b] if f is None else f ^ masks[b])),
-            ))
-            q = f = None
-            continue
-        if kind in ("X", "CX"):
-            idx = toggled[b] if kind == "X" else np.where(masks[c], toggled[b], words)
-            q = idx if q is None else q[idx]
-            f = None if f is None else f[idx]
+        if kind == "X":
+            steps.append((toggled[b], None))
+        elif kind == "CX":
+            steps.append((np.where(masks[c], toggled[b], words), None))
+        elif kind == "Z":
+            steps.append((None, _signs(masks[b])))
+        elif kind == "CZ":
+            steps.append((None, _signs(masks[b] & masks[c])))
         else:
-            flip = masks[b] if kind == "Z" else masks[b] & masks[c]
-            f = flip if f is None else f ^ flip
-    if q is not None or f is not None:
-        stages.append(((q, _signs(f)),))
-    return tuple(stages)
+            steps.append((toggled[b], _signs(masks[b])))
+    return tuple(steps)
 
 
-def _run(stages, x: np.ndarray) -> np.ndarray:
-    """Run compiled stages on the last axis of ``x``.
-
-    Each term ``(q, s)`` is the signed gather ``s * x[q]``; a stage of
-    two terms is (X part + Z part) / sqrt(2).
+def _run(steps, x: np.ndarray) -> np.ndarray:
+    """Run compiled steps on the last axis of ``x``: a gather ``x[q]``,
+    a sign flip ``s * x``, or H as (X part + Z part) / sqrt(2).
     """
-    for stage in stages:
-        q, s = stage[0]
-        y = x if q is None else x.take(q, axis=-1)
-        if s is not None:
-            y = s * y
-        if len(stage) == 2:
-            q, s = stage[1]
-            z = x if q is None else x.take(q, axis=-1)
-            y = (y + (z if s is None else s * z)) * _INV_SQRT2
-        x = y
+    for q, s in steps:
+        if s is None:
+            x = x.take(q, axis=-1)
+        elif q is None:
+            x = s * x
+        else:
+            x = (x.take(q, axis=-1) + s * x) * _INV_SQRT2
     return x
 
 
@@ -186,7 +165,8 @@ def _op(gate) -> tuple:
 
 
 def _apply(mv: Multivector, ops) -> Multivector:
-    return Multivector(_run(_compile(ops, mv.dim), mv.coeffs), mv.dim)
+    with _quiet_float_errors():
+        return Multivector(_run(_compile(ops, mv.dim), mv.coeffs), mv.dim)
 
 
 def apply_x(mv: Multivector, k: int) -> Multivector:
@@ -227,7 +207,8 @@ def apply_circuit_lattice(circuit, lat: LatticeMultivector) -> LatticeMultivecto
     """Apply one circuit to every occupied cell; cells never interact."""
     if not isinstance(lat, LatticeMultivector):
         raise TypeError("expected a LatticeMultivector")
-    out = _run(_compile([_op(gate) for gate in circuit], _LATTICE_DIM), lat._block)
+    with _quiet_float_errors():
+        out = _run(_compile([_op(gate) for gate in circuit], _LATTICE_DIM), lat._block)
     if not _all_finite(out):
         raise ValueError("coefficients must be finite")
     return lat._with_block(out)
@@ -260,7 +241,7 @@ def teleport(alpha: float, beta: float) -> Multivector:
 
     The input state is the geometric product of the payload with the
     entangled carrier (1 + b2 b3)/sqrt(2); the network then acts purely
-    bitwise, through stages compiled once at import.  Exact up to float
+    bitwise, through steps compiled once at import.  Exact up to float
     rounding, with no scaling residue.
     """
     payload = np.zeros(8)

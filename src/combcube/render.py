@@ -468,6 +468,7 @@ def emit_svg(scene: Scene, width: int, height: int) -> str:
     for name, v in (("width", width), ("height", height)):
         if not _is_int(v) or v <= 0:
             raise ValueError(f"{name} must be a positive integer, got {v!r}")
+        _check_real(v, name)  # an int past the float range reads as inf
     bbox = scene_bbox(scene)
     if bbox is None:
         dx = dy = 0.0

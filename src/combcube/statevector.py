@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import _INV_SQRT2, MAX_DIM, Multivector, _all_finite, _as_float, _is_int
+from .algebra import (_INV_SQRT2, MAX_DIM, Multivector, _all_finite, _as_float, _is_int,
+                      _quiet_float_errors)
 from .gates import Gate, teleport_network
 
 _MATRICES = {
@@ -109,12 +110,13 @@ def _apply(gates, sv: StateVector) -> StateVector:
         if gate.control is not None and not 1 <= gate.control <= sv.dim:
             raise ValueError(f"control bit {gate.control} out of range for {sv.dim} bits")
     amps = sv.amps.copy()
-    for gate in gates:
-        (m00, m01), (m10, m11) = _MATRICES[gate.kind[-1]]
-        a0, a1 = _pair_views(amps, gate)
-        n0 = m00 * a0 + m01 * a1  # taken before a1 is overwritten
-        a1[...] = m10 * a0 + m11 * a1
-        a0[...] = n0
+    with _quiet_float_errors():
+        for gate in gates:
+            (m00, m01), (m10, m11) = _MATRICES[gate.kind[-1]]
+            a0, a1 = _pair_views(amps, gate)
+            n0 = m00 * a0 + m01 * a1  # taken before a1 is overwritten
+            a1[...] = m10 * a0 + m11 * a1
+            a0[...] = n0
     return StateVector(amps, sv.dim)
 
 

@@ -193,6 +193,21 @@ def test_render_rejects_bad_viewport_and_style_flags(tmp_path, capsys, flags):
     assert not dst.exists()
 
 
+@pytest.mark.parametrize("command, table, flag", [
+    ("render", EXAMPLE_JSON, "--height"),
+    ("lattice-render", json.dumps({"0,0": {"000": 1.0}}), "--width"),
+], ids=["render", "lattice-render"])
+def test_render_rejects_a_viewport_past_the_float_range(tmp_path, capsys, command, table, flag):
+    src = tmp_path / "in.json"
+    src.write_text(table)
+    dst = tmp_path / "out.svg"
+    assert run([command, str(src), "--output", str(dst), flag, str(10**400)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag[2:]} must be finite, got inf\n"
+    assert not dst.exists()
+
+
 @pytest.mark.parametrize("command, table", [
     ("render", EXAMPLE_JSON),
     ("lattice-render", json.dumps({"0,0": {"000": 1.0}, "1,0": {"100": 1.0}})),

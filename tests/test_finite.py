@@ -18,9 +18,10 @@ import pytest
 from combcube.algebra import Multivector, _all_finite
 from combcube.coding import LatticeMultivector, lattice_from_json
 from combcube.colorwheel import hue_to_rgb
-from combcube.gates import Gate, apply_circuit_lattice, teleport, teleport_network
+from combcube.gates import (Gate, apply_circuit, apply_circuit_lattice, apply_h, teleport,
+                            teleport_network)
 from combcube.render import Disc, Scene, lattice_scene
-from combcube.statevector import StateVector
+from combcube.statevector import StateVector, sv_apply_gate
 
 BAD = (math.nan, math.inf, -math.inf)
 # finite values at the edges of float64: signed zeros, the smallest
@@ -135,4 +136,26 @@ def test_operators_keep_their_values_and_the_callers_float_state():
     before = np.geterr()
     with pytest.raises(ValueError):
         _BIG + _BIG
+    assert np.geterr() == before
+
+
+_GATE_OVERFLOWS = {
+    "apply_h(big, 1)": (lambda: apply_h(_BIG, 1), "coefficients"),
+    "apply_circuit H1": (lambda: apply_circuit([Gate("H", 1)], _BIG), "coefficients"),
+    "apply_circuit_lattice H1": (
+        lambda: apply_circuit_lattice([Gate("H", 1)], LatticeMultivector({(0,): _BIG})),
+        "coefficients"),
+    "sv_apply_gate H1": (
+        lambda: sv_apply_gate(StateVector([1.7976931348623157e308] * 8, 3), Gate("H", 1)),
+        "amplitudes"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GATE_OVERFLOWS))
+def test_gate_engines_report_an_overflow_as_non_finite_values(name):
+    # called bare: a numpy warning here is an error under the test config
+    call, what = _GATE_OVERFLOWS[name]
+    before = np.geterr()
+    with pytest.raises(ValueError, match=f"^{what} must be finite$"):
+        call()
     assert np.geterr() == before

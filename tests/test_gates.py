@@ -18,8 +18,11 @@ from combcube.gates import (
     GATE_KINDS,
     Circuit,
     Gate,
+    _TELEPORT_STAGES,
     _bit_tables,
     _compile,
+    _op,
+    _run,
     apply_circuit,
     apply_circuit_lattice,
     apply_cx,
@@ -548,3 +551,38 @@ def test_bit_tables_are_read_only_and_unchanged_by_compiling():
                 assert not table.flags.writeable
                 assert table.dtype == expected.dtype
                 assert np.array_equal(table, expected)
+
+
+# -- one step per gate -------------------------------------------------------
+
+
+@pytest.mark.parametrize("dim", [1, 3, 10])
+def test_compile_gives_one_step_per_gate(dim):
+    rng = np.random.default_rng(3200 + dim)
+    kinds = GATE_KINDS if dim > 1 else ("X", "Z", "H")
+    for kind in kinds:
+        for length in (1, 2, 5):
+            ops = [_op(g) for g in _random_gates(rng, dim, length, kinds=(kind,))]
+            assert len(_compile(ops, dim)) == len(ops), (kind, length)
+    ops = [_op(g) for g in _random_gates(rng, dim, 24, kinds=kinds)]
+    assert len(_compile(ops, dim)) == len(ops)
+    ops = [("X", 1, None), ("X", 1, None), ("Z", 1, None), ("X", 1, None), ("Z", 1, None)]
+    assert len(_compile(ops, dim)) == 5
+
+
+def test_teleport_runs_its_six_gates_one_step_each_bit_for_bit():
+    network = teleport_network()
+    steps = [_compile([_op(gate)], 3) for gate in network]
+    assert len(_TELEPORT_STAGES) == len(network) == 6
+    for (step,), (q, s) in zip(steps, _TELEPORT_STAGES):
+        assert (step[0] is None) == (q is None) and (step[1] is None) == (s is None)
+        assert q is None or np.array_equal(step[0], q)
+        assert s is None or np.array_equal(step[1], s)
+    for alpha in EDGE_PAYLOADS:
+        for beta in EDGE_PAYLOADS:
+            payload = np.zeros(8)
+            payload[0b000], payload[0b001] = alpha, beta
+            x = geometric_product(Multivector(payload, 3), bell_carrier()).coeffs
+            for step in steps:
+                x = _run(step, x)
+            assert teleport(alpha, beta).coeffs.tobytes() == x.tobytes(), (alpha, beta)

@@ -258,6 +258,15 @@ def test_emit_svg_takes_a_numpy_integer_size_as_its_int():
             emit_svg(scene, bad, 480)
 
 
+def test_emit_svg_rejects_a_size_past_the_float_range_by_name():
+    scene = lattice_scene(_LAT)
+    for call in (lambda: emit_svg(scene, BIG, 5), lambda: emit_svg(_NO_SCENE, BIG, 5)):
+        with pytest.raises(ValueError, match="^width must be finite, got inf$"):
+            call()
+    with pytest.raises(ValueError, match="^height must be finite, got inf$"):
+        emit_svg(scene, 5, BIG)
+
+
 def test_grid_placement_multiplies_numpy_integers_exactly():
     # numpy's int64 arithmetic would wrap around (and warn) here
     assert grid_placement([(3,)], np.int64(2**62)) == {(3,): (3 * 2**62, 0, 0)}
