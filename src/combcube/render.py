@@ -9,8 +9,8 @@ takes the hue of zero, which is also the default backdrop; nothing is
 special-cased away.
 
 Redundant mode draws every element (8 corners, 12 edges, 6 walls, one
-interior body); representative mode draws one element per class.  Both
-modes are one element table each: rows of (kind, class, corner
+interior body); representative mode draws the first element of each
+class.  Both modes read one element table: rows of (kind, class, corner
 numbers) in paint order.  A cube's 8 corners are offset, deformed and
 projected once, its 8 class colors are computed once, and every row
 picks its points and its color from those.  Deformation is one pass
@@ -33,7 +33,8 @@ from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .algebra import Multivector, _all_finite, _as_float, _check_real, _is_int, _is_real
+from .algebra import (Multivector, _all_finite, _as_float, _check_real, _is_int, _is_real,
+                      _quiet_float_errors)
 from .coding import MAX_CELL_INDEX, LatticeMultivector, _padded
 from .colorwheel import RgbColor, hue_to_rgb, nu_of_x, rgb_to_hex
 
@@ -50,38 +51,31 @@ ELEMENT_WORDS = {
 }
 
 # Unit-cube corners are numbered x + 2y + 4z, coordinates 0 or 1.  Each
-# row of an element table is (kind, class, corner numbers); the rows are
+# row of the element table is (kind, class, corner numbers); the rows are
 # in paint order, back to front.  With y receding to the upper right,
 # the walls at z=0, y=1 and x=0 sit behind the cube body, and the
 # interior's fill is carried by the front-face (y=0) silhouette.
 _UNIT_CUBE = np.array([(i & 1, i >> 1 & 1, i >> 2) for i in range(8)], dtype=np.float64)
-_BACK_AND_BODY = (
+_CUBE_ROWS = (
     ("wall", "wall-xy", (0, 1, 3, 2)),
     ("wall", "wall-xz", (2, 3, 7, 6)),
     ("wall", "wall-yz", (0, 2, 6, 4)),
     ("body", "interior", (0, 1, 5, 4)),
+    # the edge for b_k joins each two corners whose numbers differ only in bit k
+    *(("edge", cls, (c, c | ELEMENT_WORDS[cls])) for cls in ("edge-x", "edge-y", "edge-z")
+      for c in range(8) if not c & ELEMENT_WORDS[cls]),
+    ("wall", "wall-xy", (4, 5, 7, 6)),
+    ("wall", "wall-xz", (0, 1, 5, 4)),
+    ("wall", "wall-yz", (1, 3, 7, 5)),
+    *(("corner", "corner", (c,)) for c in range(8)),
 )
 _ELEMENT_TABLES = {
     # every element: 6 walls, the body, 12 edges, 8 corners
-    "redundant": _BACK_AND_BODY + (
-        ("edge", "edge-x", (0, 1)), ("edge", "edge-x", (2, 3)),
-        ("edge", "edge-x", (4, 5)), ("edge", "edge-x", (6, 7)),
-        ("edge", "edge-y", (0, 2)), ("edge", "edge-y", (1, 3)),
-        ("edge", "edge-y", (4, 6)), ("edge", "edge-y", (5, 7)),
-        ("edge", "edge-z", (0, 4)), ("edge", "edge-z", (1, 5)),
-        ("edge", "edge-z", (2, 6)), ("edge", "edge-z", (3, 7)),
-        ("wall", "wall-xy", (4, 5, 7, 6)),
-        ("wall", "wall-xz", (0, 1, 5, 4)),
-        ("wall", "wall-yz", (1, 3, 7, 5)),
-    ) + tuple(("corner", "corner", (i,)) for i in range(8)),
-    # one element per class: the back walls, so nothing hides the rest,
-    # the body, and the origin corner with the three edges leaving it
-    "representative": _BACK_AND_BODY + (
-        ("edge", "edge-x", (0, 1)),
-        ("edge", "edge-y", (0, 2)),
-        ("edge", "edge-z", (0, 4)),
-        ("corner", "corner", (0,)),
-    ),
+    "redundant": _CUBE_ROWS,
+    # the first row of each class: the back walls, so nothing hides the
+    # rest, the body, and the origin corner with the three edges leaving it
+    "representative": tuple(row for n, row in enumerate(_CUBE_ROWS)
+                            if row[1] not in [r[1] for r in _CUBE_ROWS[:n]]),
 }
 _MODES = tuple(_ELEMENT_TABLES)
 
@@ -145,7 +139,9 @@ class Disc:
     css_class: str
 
 
-_KINDS = {"wall": Polygon, "body": Polygon, "edge": Segment, "corner": Disc}
+# each kind's primitive and the CubeStyle field that sets its value
+_KINDS = {"wall": (Polygon, "wall_opacity"), "body": (Polygon, "interior_opacity"),
+          "edge": (Segment, "stroke_width"), "corner": (Disc, "corner_radius")}
 
 
 class _Row(NamedTuple):
@@ -229,11 +225,12 @@ class Scene:
         return len(self._table) * len(self._corners)
 
     @cached_property
-    def bbox(self):
+    def _bbox(self):
         """Bounding box (x0, y0, x1, y1) of the drawables, None when empty.
 
         Worked out on first use and kept: the scene is frozen, and both
-        viewport sizing and ``emit_svg`` need it.
+        viewport sizing and ``emit_svg`` need it.  A span or centre past
+        the float range is a ValueError, so nothing is sized or placed by it.
         """
         if not self._corners.size:
             return None
@@ -244,9 +241,13 @@ class Scene:
         if discs:
             centers = self._corners[:, [row.points[0] for row in discs]]
             radii = np.array([row.value for row in discs], dtype=np.float64)[:, None]
-            boxes += [_box(centers - radii), _box(centers + radii)]
+            with _quiet_float_errors():
+                boxes += [_box(centers - radii), _box(centers + radii)]
         x0, y0, x1, y1 = zip(*boxes)
-        return (min(x0), min(y0), max(x1), max(y1))
+        x0, y0, x1, y1 = box = (min(x0), min(y0), max(x1), max(y1))
+        if not _all_finite(np.array([x1 - x0, y1 - y0, x0 + x1, y0 + y1])):
+            raise ValueError(f"scene extent must have a finite span and centre, got {box!r}")
+        return box
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
@@ -267,12 +268,9 @@ def _box(points: np.ndarray) -> tuple:
 
 
 def _cube_table(style: CubeStyle) -> tuple:
-    values = {"wall": style.wall_opacity, "body": style.interior_opacity,
-              "edge": style.stroke_width, "corner": style.corner_radius}
-    return tuple(
-        _Row(_KINDS[kind], cls, corners, ELEMENT_WORDS[cls], values[kind])
-        for kind, cls, corners in _ELEMENT_TABLES[style.mode]
-    )
+    return tuple(_Row(prim, cls, corners, ELEMENT_WORDS[cls], getattr(style, field))
+                 for kind, cls, corners in _ELEMENT_TABLES[style.mode]
+                 for prim, field in [_KINDS[kind]])
 
 
 def _cubes(block: np.ndarray, offsets: np.ndarray, style: CubeStyle, deformation) -> Scene:
@@ -306,7 +304,8 @@ def _cubes(block: np.ndarray, offsets: np.ndarray, style: CubeStyle, deformation
     fy = float(style.foreshortening) * math.sin(theta)
     e = float(style.edge)
     x, y, z = world[..., 0], world[..., 1], world[..., 2]
-    corners = np.stack([e * (x + fx * y), -e * (z + fy * y)], axis=-1)
+    with _quiet_float_errors():
+        corners = np.stack([e * (x + fx * y), -e * (z + fy * y)], axis=-1)
     if not _all_finite(corners):
         raise ValueError("cube corners must be finite after placement and deformation")
     return Scene._from_arrays(hue_to_rgb(style.background), _cube_table(style), corners, colors)
@@ -419,8 +418,9 @@ def lattice_scene(
 
 
 def scene_bbox(scene: Scene):
-    """Bounding box (x0, y0, x1, y1) of the drawables, None when empty."""
-    return scene.bbox
+    """Bounding box (x0, y0, x1, y1) of the drawables, None when empty; a
+    ValueError when its span or centre is past the float range."""
+    return scene._bbox
 
 
 def _fmt(v: float) -> str:

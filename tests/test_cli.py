@@ -387,3 +387,33 @@ def test_an_option_after_a_float_flag_is_still_an_option(capsys):
         run(["teleport", "--alpha", "-x", "--beta", "0.5"])
     assert exc.value.code == 2
     assert "argument --alpha: expected one argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("table, flags", [
+    ({"5,0": {"000": 1.0}, "6,0": {"000": 2.0}}, ["--edge", "2e307"]),  # the centre overflows
+    ({"-1,0": {"000": 1.0}, "0,0": {"000": 2.0}}, ["--edge", "1.2e308"]),  # the span overflows
+    ({"-1,0": {"000": 1.0}, "0,0": {"000": 2.0}},
+     ["--edge", "1.2e308", "--width", "100", "--height", "100"]),
+], ids=["centre", "span", "span-sized"])
+def test_lattice_render_rejects_a_scene_extent_past_the_float_range(tmp_path, capsys,
+                                                                    table, flags):
+    src = tmp_path / "far.json"
+    src.write_text(json.dumps(table))
+    dst = tmp_path / "far.svg"
+    assert run(["lattice-render", str(src), "--output", str(dst), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: scene extent must have a finite span and centre, got .*\n",
+                        captured.err)
+    assert not dst.exists()
+
+
+def test_lattice_render_of_no_cells_is_a_200_by_200_backdrop(tmp_path, capsys):
+    src = tmp_path / "empty.json"
+    src.write_text("{}")
+    dst = tmp_path / "empty.svg"
+    assert run(["lattice-render", str(src), "--output", str(dst)]) == 0
+    assert capsys.readouterr().err == ""
+    root = ET.fromstring(dst.read_text())
+    assert (root.get("width"), root.get("height")) == ("200", "200")
+    assert [child.get("class") for child in root] == ["background"]

@@ -495,3 +495,22 @@ def test_float_tables_read_as_the_full_checks_read_them(table):
 def test_a_repeated_json_key_is_named(read, text, key):
     with pytest.raises(ValueError, match=f"^duplicate JSON key '{key}'$"):
         read(text)
+
+
+def test_lattice_cells_of_other_integer_types_read_as_plain_int_tuples():
+    mv = Multivector.scalar(1.0, 3)
+    lat = LatticeMultivector({(1, 2): mv})
+    assert lat.get([1, 2]) == mv
+    assert lat.get((np.int64(1), 2)) == mv
+    cells = LatticeMultivector({(np.int64(1), 2): mv}).cell_indices()
+    assert cells == ((1, 2),) and [type(p) for p in cells[0]] == [int, int]
+
+
+@pytest.mark.parametrize("cell, message", [
+    ("12", "cell index must hold 1 to 3 integers, got '12'"),
+    (1.5, "cell index must be an integer or a tuple, got 1.5"),
+])
+def test_lattice_cells_that_are_not_integers_are_named(cell, message):
+    lat = LatticeMultivector({(1, 2): Multivector.scalar(1.0, 3)})
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        lat.get(cell)

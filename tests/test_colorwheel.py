@@ -278,3 +278,13 @@ def test_frozen_display_hexes():
     assert rgb_to_hex(hue_to_rgb(nu_of_x(0.0))) == "#8000FF"
     assert rgb_to_hex(hue_to_rgb(nu_of_x(1.0))) == "#FF0000"
     assert rgb_to_hex(hue_to_rgb(nu_of_x(1.0 / math.sqrt(2.0)))) == "#FF0053"
+
+
+def test_values_just_below_one_wrap_to_hue_zero_not_one():
+    # the wrap at x = 1 rounds up to exactly 1.0 for the four floats
+    # just below 1; the hue range is [0, 1), so they read as 0.0
+    x = 1.0
+    for _ in range(4):
+        x = math.nextafter(x, 0.0)
+        assert nu_of_x(x) == 0.0
+    assert 0.0 < nu_of_x(math.nextafter(x, 0.0)) < 1.0

@@ -462,7 +462,7 @@ def test_teleport_still_rejects_an_overflowing_payload():
             teleport(1.5e308, 1)
 
 
-# -- compiled stages against one gate at a time ----------------------------
+# -- compiled steps against one gate at a time by its own formula ----------
 
 
 def _one_gate_at_a_time(circuit, x):
@@ -492,8 +492,9 @@ def _edge_coeffs(rng, shape):
     return x
 
 
-def _folding_circuits(dim):
-    """XX, ZZ and XZXZ on bit 1, and CX CX and CZ CZ on bits 1 and 2."""
+def _cancelling_circuits(dim):
+    """Circuits equal to +-1: XX, ZZ and XZXZ on bit 1, and CX CX and CZ CZ
+    on bits 1 and 2."""
     circuits = [[Gate("X", 1)] * 2, [Gate("Z", 1)] * 2, [Gate("X", 1), Gate("Z", 1)] * 2]
     if dim > 1:
         circuits += [[Gate("CX", 2, 1)] * 2, [Gate("CZ", 1, 2)] * 2]
@@ -505,7 +506,7 @@ def test_compiled_circuits_match_one_gate_at_a_time_bit_for_bit(dim):
     rng = np.random.default_rng(3000 + dim)
     circuits = [_random_gates(rng, dim, length) for length in (1, 2, 5, 13, 24)]
     circuits += [gates + [Gate("H", int(rng.integers(1, dim + 1)))] for gates in circuits[:3]]
-    circuits += _folding_circuits(dim)
+    circuits += _cancelling_circuits(dim)
     for circuit in circuits:
         coeffs = _edge_coeffs(rng, 1 << dim)
         got = apply_circuit(circuit, Multivector(coeffs, dim)).coeffs
@@ -519,7 +520,7 @@ def test_compiled_lattice_circuits_match_one_gate_at_a_time_bit_for_bit():
     lat = LatticeMultivector({(i,): Multivector(row, 3) for i, row in enumerate(block)})
     circuits = [_random_gates(rng, 3, length) for length in (1, 2, 5, 13, 24)]
     circuits += [gates + [Gate("H", 3)] for gates in circuits[:3]]
-    circuits += _folding_circuits(3) + [list(teleport_network())]
+    circuits += _cancelling_circuits(3) + [list(teleport_network())]
     for circuit in circuits:
         out = apply_circuit_lattice(circuit, lat)
         want = _one_gate_at_a_time(circuit, block)
@@ -528,8 +529,8 @@ def test_compiled_lattice_circuits_match_one_gate_at_a_time_bit_for_bit():
 
 
 def test_gate_pairs_that_cancel_run_as_the_identity_bit_for_bit():
-    # the compiler keeps their identity gather and all-plus signs; a
-    # gather copies and a sign of +-1 is exact, so no bit may change
+    # each gate runs as its own step, a gather or a sign flip; a gather
+    # copies and a sign of +-1 is exact, so no bit may change
     x = Multivector(np.random.default_rng(3).normal(size=8) * 10.0 ** np.arange(-4, 4), 3)
     for gates in ([Gate("X", 2)] * 2, [Gate("Z", 2)] * 2, [Gate("CX", 3, 1)] * 2,
                   [Gate("CZ", 1, 3)] * 2, [Gate("CX", 2, 3), Gate("Z", 1)] * 2):

@@ -437,7 +437,7 @@ def test_scene_bbox_is_worked_out_once():
     scene = cube_scene(teleport(0.6, 0.8))
     emit_svg(scene, 400, 300)
     # emit_svg stored the box on the frozen scene; viewport sizing reuses it
-    assert vars(scene)["bbox"] is scene_bbox(scene)
+    assert vars(scene)["_bbox"] is scene_bbox(scene)
 
 
 @pytest.mark.parametrize("field", [
@@ -709,3 +709,71 @@ def test_cube_scene_stores_corner_arrays():
     assert "elements" not in vars(scene)  # built only when first read
     assert len(scene.elements) == scene._primitives == 6 * 27
     assert np.isfinite(scene._corners).all()
+
+
+# -- one element table behind both modes --------------------------------------
+
+# the two modes' rows as they were written out by hand, one table per mode
+_BACK_WALLS_AND_BODY = (
+    ("wall", "wall-xy", (0, 1, 3, 2)),
+    ("wall", "wall-xz", (2, 3, 7, 6)),
+    ("wall", "wall-yz", (0, 2, 6, 4)),
+    ("body", "interior", (0, 1, 5, 4)),
+)
+_REDUNDANT_ROWS = _BACK_WALLS_AND_BODY + (
+    ("edge", "edge-x", (0, 1)), ("edge", "edge-x", (2, 3)),
+    ("edge", "edge-x", (4, 5)), ("edge", "edge-x", (6, 7)),
+    ("edge", "edge-y", (0, 2)), ("edge", "edge-y", (1, 3)),
+    ("edge", "edge-y", (4, 6)), ("edge", "edge-y", (5, 7)),
+    ("edge", "edge-z", (0, 4)), ("edge", "edge-z", (1, 5)),
+    ("edge", "edge-z", (2, 6)), ("edge", "edge-z", (3, 7)),
+    ("wall", "wall-xy", (4, 5, 7, 6)),
+    ("wall", "wall-xz", (0, 1, 5, 4)),
+    ("wall", "wall-yz", (1, 3, 7, 5)),
+    ("corner", "corner", (0,)), ("corner", "corner", (1,)),
+    ("corner", "corner", (2,)), ("corner", "corner", (3,)),
+    ("corner", "corner", (4,)), ("corner", "corner", (5,)),
+    ("corner", "corner", (6,)), ("corner", "corner", (7,)),
+)
+_REPRESENTATIVE_ROWS = _BACK_WALLS_AND_BODY + (
+    ("edge", "edge-x", (0, 1)),
+    ("edge", "edge-y", (0, 2)),
+    ("edge", "edge-z", (0, 4)),
+    ("corner", "corner", (0,)),
+)
+
+
+def test_both_modes_draw_the_rows_written_out_by_hand():
+    assert list(_ELEMENT_TABLES) == ["redundant", "representative"]
+    assert _ELEMENT_TABLES["redundant"] == _REDUNDANT_ROWS
+    assert _ELEMENT_TABLES["representative"] == _REPRESENTATIVE_ROWS
+
+
+# -- overflow is a ValueError, never a numpy warning -------------------------
+
+
+def test_a_cube_past_the_float_range_is_a_value_error_without_a_warning():
+    with pytest.raises(ValueError,
+                       match="^cube corners must be finite after placement and deformation$"):
+        cube_scene(Multivector.scalar(1.0, 3), CubeStyle(edge=1.5e308))
+
+
+@pytest.mark.parametrize("elements", [
+    [Disc((1e308, 0.0), 1e308, hue_to_rgb(0.1), "corner")],  # its extent overflows
+    [Segment((-1e308, 0.0), (1e308, 0.0), hue_to_rgb(0.1), 1.0, "edge-x")],  # its span
+    [Segment((0.0, 1e308), (0.0, 1.5e308), hue_to_rgb(0.1), 1.0, "edge-z")],  # its centre
+], ids=["disc", "span", "centre"])
+def test_a_scene_extent_past_the_float_range_is_a_value_error(elements):
+    scene = Scene(hue_to_rgb(0.5), elements)
+    for call in (lambda: scene_bbox(scene), lambda: emit_svg(scene, 10, 10)):
+        with pytest.raises(ValueError, match="^scene extent must have a finite span and centre"):
+            call()
+
+
+def test_a_scene_extent_at_the_float_range_still_renders():
+    big = 0.5 * np.finfo(np.float64).max
+    scene = Scene(hue_to_rgb(0.5), [Segment((-big, big), (big, big), hue_to_rgb(0.1), 1.0,
+                                            "edge-x")])
+    assert scene_bbox(scene) == (-big, big, big, big)
+    svg = emit_svg(scene, 10, 10)
+    assert "inf" not in svg and "nan" not in svg
