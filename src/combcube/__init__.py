@@ -34,12 +34,7 @@ from .gates import (
     Gate,
     apply_circuit,
     apply_circuit_lattice,
-    apply_cx,
-    apply_cz,
     apply_gate,
-    apply_h,
-    apply_x,
-    apply_z,
     circuit_from_json,
     circuit_to_json,
     teleport,

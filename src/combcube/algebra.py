@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -131,7 +132,10 @@ class Multivector:
     __slots__ = ("_dim", "_coeffs")
 
     def __init__(self, coeffs, dim: int | None = None):
-        arr = np.array(coeffs, dtype=np.float64)
+        try:
+            arr = np.array(coeffs, dtype=np.float64)
+        except (TypeError, ValueError):  # complex entries, ragged rows, non-numeric text
+            raise ValueError("coefficients must be an array of real numbers") from None
         if arr.ndim != 1:  # a copy, so no writeable base is left under it
             arr = arr.flatten()
         if dim is None:
@@ -183,8 +187,14 @@ class Multivector:
         return cls.blade(1 << (k - 1), dim)
 
     def norm(self) -> float:
-        """Euclidean length of the coefficient vector."""
-        return float(math.sqrt(float(np.dot(self._coeffs, self._coeffs))))
+        """Euclidean length of the coefficients: the square root of their dot
+        product, or ``math.hypot`` when that product leaves the normal floats."""
+        c = self._coeffs
+        with _quiet_float_errors():
+            square = float(np.dot(c, c))
+        if square == math.inf or (square < sys.float_info.min and c.any()):
+            return math.hypot(*c.tolist())
+        return math.sqrt(square)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Multivector):

@@ -95,7 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lattice-render", help="render a lattice file as colored cubes")
     p.add_argument("input", type=Path, help="lattice JSON")
     p.add_argument("--output", type=Path, required=True, help="SVG file to write")
-    p.add_argument("--placement", choices=("grid",), default="grid")
     p.add_argument("--deformation", choices=("none", "sine-warp"), default="none")
     _add_render_flags(p)
     p.set_defaults(func=_cmd_lattice_render)

@@ -9,8 +9,9 @@ permutations and sign flips, not geometric-product multiplications:
 left-multiplying by a generator would pick up blade-reordering signs
 and the action would no longer be bitwise.
 
-Every entry point compiles its gates into one step per gate and runs
-the steps on the coefficient axis of an array of shape (..., 2**dim):
+A gate is always a ``Gate``.  Every entry point compiles its gates
+into one step per gate and runs the steps on the coefficient axis of
+an array of shape (..., 2**dim):
 X and CX are one gather ``x[q]``, Z and CZ one sign flip ``s * x``
 with signs exactly +-1, and H is ``(x[q] + s * x) / sqrt(2)``, the X
 part plus the Z part.  Compiling reads per-dimension tables built once
@@ -94,11 +95,11 @@ class Circuit:
         return self.gates[i]
 
 
-def _check_bit(dim: int, k, role: str = "target") -> int:
-    """The 0-based index of 1-based bit k, checked against dim."""
-    if not _is_int(k) or not 1 <= k <= dim:
+def _check_bit(dim: int, k: int, role: str = "target") -> int:
+    """The 0-based index of a Gate's 1-based bit k, checked against dim."""
+    if k > dim:
         raise ValueError(f"{role} bit must be in [1, {dim}], got {k!r}")
-    return int(k) - 1
+    return k - 1
 
 
 @lru_cache(maxsize=None)
@@ -119,18 +120,17 @@ def _signs(flip) -> np.ndarray:
     return np.where(flip, -1.0, 1.0)
 
 
-def _compile(ops, dim: int) -> tuple:
-    """One step ``(q, s)`` per (kind, target, control) gate triple on
-    2**dim coefficients: a gather index, a +-1 sign array, or both for H.
-    """
+def _compile(gates, dim: int) -> tuple:
+    """One step ``(q, s)`` per Gate on 2**dim coefficients: a gather
+    index, a +-1 sign array, or both for H."""
     words, toggled, masks = _bit_tables(dim)
     steps = []
-    for kind, k, l in ops:
-        b = _check_bit(dim, k)
+    for gate in gates:
+        if not isinstance(gate, Gate):
+            raise TypeError("expected a Gate")
+        kind, b = gate.kind, _check_bit(dim, gate.target)
         if kind in _CONTROLLED:
-            c = _check_bit(dim, l, role="control")
-            if k == l:
-                raise ValueError("control and target bits must differ")
+            c = _check_bit(dim, gate.control, role="control")
         if kind == "X":
             steps.append((toggled[b], None))
         elif kind == "CX":
@@ -158,49 +158,20 @@ def _run(steps, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _op(gate) -> tuple:
-    if not isinstance(gate, Gate):
-        raise TypeError("expected a Gate")
-    return gate.kind, gate.target, gate.control
-
-
-def _apply(mv: Multivector, ops) -> Multivector:
+def _apply(mv: Multivector, gates) -> Multivector:
+    if not isinstance(mv, Multivector):
+        raise TypeError("expected a Multivector")
     with _quiet_float_errors():
-        return Multivector(_run(_compile(ops, mv.dim), mv.coeffs), mv.dim)
-
-
-def apply_x(mv: Multivector, k: int) -> Multivector:
-    """Toggle bit k of every comb: coefficients swap in pairs."""
-    return _apply(mv, (("X", k, None),))
-
-
-def apply_z(mv: Multivector, k: int) -> Multivector:
-    """Negate the coefficients of combs with bit k set."""
-    return _apply(mv, (("Z", k, None),))
-
-
-def apply_h(mv: Multivector, k: int) -> Multivector:
-    """(X_k + Z_k)/sqrt(2); an involution like its two parts."""
-    return _apply(mv, (("H", k, None),))
-
-
-def apply_cx(mv: Multivector, k: int, l: int) -> Multivector:
-    """Toggle target bit k on combs whose control bit l is set."""
-    return _apply(mv, (("CX", k, l),))
-
-
-def apply_cz(mv: Multivector, k: int, l: int) -> Multivector:
-    """Negate combs with both target bit k and control bit l set."""
-    return _apply(mv, (("CZ", k, l),))
+        return Multivector(_run(_compile(gates, mv.dim), mv.coeffs), mv.dim)
 
 
 def apply_gate(mv: Multivector, gate: Gate) -> Multivector:
-    return _apply(mv, (_op(gate),))
+    return _apply(mv, (gate,))
 
 
 def apply_circuit(circuit, mv: Multivector) -> Multivector:
     """Apply the gates to the state, first gate first."""
-    return _apply(mv, [_op(gate) for gate in circuit])
+    return _apply(mv, circuit)
 
 
 def apply_circuit_lattice(circuit, lat: LatticeMultivector) -> LatticeMultivector:
@@ -208,7 +179,7 @@ def apply_circuit_lattice(circuit, lat: LatticeMultivector) -> LatticeMultivecto
     if not isinstance(lat, LatticeMultivector):
         raise TypeError("expected a LatticeMultivector")
     with _quiet_float_errors():
-        out = _run(_compile([_op(gate) for gate in circuit], _LATTICE_DIM), lat._block)
+        out = _run(_compile(circuit, _LATTICE_DIM), lat._block)
     if not _all_finite(out):
         raise ValueError("coefficients must be finite")
     return lat._with_block(out)
@@ -222,7 +193,7 @@ _TELEPORT_NETWORK = Circuit((
     Gate("H", target=2),
     Gate("H", target=1),
 ))
-_TELEPORT_STAGES = _compile([_op(gate) for gate in _TELEPORT_NETWORK], 3)
+_TELEPORT_STAGES = _compile(_TELEPORT_NETWORK, 3)
 
 
 def teleport_network() -> Circuit:

@@ -373,7 +373,11 @@ def sine_warp(amplitude: float = 0.3, period: float = 4.0) -> Callable:
 
     def deform(p):
         x, y, z = p
-        return (x, y, z + amplitude * math.sin(math.tau * (x + y) / period))
+        try:
+            return (x, y, z + amplitude * math.sin(math.tau * (x + y) / period))
+        except ValueError:  # math.sin of an infinite phase
+            raise ValueError(f"sine_warp period {period!r} gives an infinite phase "
+                             f"at the point {tuple(p)!r}") from None
 
     return deform
 
@@ -420,6 +424,8 @@ def lattice_scene(
 def scene_bbox(scene: Scene):
     """Bounding box (x0, y0, x1, y1) of the drawables, None when empty; a
     ValueError when its span or centre is past the float range."""
+    if not isinstance(scene, Scene):
+        raise TypeError("expected a Scene")
     return scene._bbox
 
 

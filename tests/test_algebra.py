@@ -5,7 +5,9 @@ multiplies generator strings by explicit bubble reordering; the fast
 bit-twiddling implementation must agree with it everywhere.
 """
 
+import math
 import operator
+import warnings
 
 import numpy as np
 import pytest
@@ -418,3 +420,79 @@ def test_product_with_a_row_longer_than_a_chunk():
     for j in rng.choice(np.flatnonzero(b), 300, replace=False):
         target, sign = reference_blade_product(word, int(j))
         assert got[target] == sign * (1.5 * b[j])
+
+
+# -- the norm at the ends of the float range -----------------------------------
+
+
+@pytest.mark.parametrize("coeffs", [
+    [1e154] * 8,
+    [1e-170] * 8,
+    [5e-324] + [0.0] * 7,
+    [1e-160, -3e-161, 0, 0, 0, 0, 0, 2e-162],
+    [1e300, -1e200, 0, 0, 0, 0, 0, 1e-300],
+    [1.7e308, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1e-300],
+])
+def test_norm_of_huge_and_tiny_vectors_is_the_scaled_length(coeffs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = Multivector(coeffs, 3).norm()
+    assert got == pytest.approx(math.hypot(*coeffs), rel=1e-15)
+
+
+def test_norm_past_the_float_range_is_inf_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert Multivector([1.7e308] * 2, 1).norm() == math.inf
+
+
+def test_norm_in_the_normal_range_is_the_square_root_of_the_dot_product():
+    rng = np.random.default_rng(185)
+    for dim in range(1, 11):
+        for _ in range(50):
+            c = rng.normal(size=1 << dim) * 10.0 ** float(rng.integers(-150, 150))
+            want = math.sqrt(float(np.dot(c, c)))
+            assert Multivector(c, dim).norm().hex() == want.hex()
+    assert Multivector.zero(3).norm().hex() == (0.0).hex()
+
+
+# -- wrong types and out-of-range arguments ----------------------------------
+
+
+@pytest.mark.parametrize("coeffs", [[1j] * 8, [[1.0, 2.0], [3.0]], ["a"] * 8])
+def test_coefficients_that_are_not_an_array_of_reals_are_named(coeffs):
+    with pytest.raises(ValueError, match="^coefficients must be an array of real numbers$"):
+        Multivector(coeffs)
+
+
+def test_blade_words_and_generator_indices_out_of_range():
+    for word in (8, -1):
+        with pytest.raises(ValueError, match=rf"^blade word out of range for Cl\(3\): {word}$"):
+            Multivector.blade(word, 3)
+    for k in (0, 4):
+        with pytest.raises(ValueError, match=rf"^generator index must be in \[1, 3\], got {k}$"):
+            Multivector.basis_vector(k, 3)
+
+
+def test_operators_leave_non_multivectors_to_python():
+    mv = Multivector.scalar(1.0, 3)
+    for method in (mv.__eq__, mv.__add__, mv.__sub__):
+        assert method(1) is NotImplemented
+    assert (mv == 1) is False
+    for op in (operator.add, operator.sub):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op(mv, 1)
+
+
+def test_repr_of_blades_above_b9_lists_their_indices():
+    assert repr(Multivector.blade(1 << 9, 10)) == "Multivector(dim=10: 1 b[10])"
+    assert repr(Multivector.blade(0b1000000001, 10, -2.0)) == "Multivector(dim=10: -2 b[1,10])"
+
+
+def test_products_and_projections_reject_non_multivectors():
+    mv = Multivector.scalar(1.0, 3)
+    for call in (lambda: geometric_product("x", mv), lambda: geometric_product(mv, None)):
+        with pytest.raises(TypeError, match="^expected Multivector operands$"):
+            call()
+    with pytest.raises(TypeError, match="^expected a Multivector$"):
+        grade_projection("x", 0)

@@ -417,3 +417,27 @@ def test_lattice_render_of_no_cells_is_a_200_by_200_backdrop(tmp_path, capsys):
     root = ET.fromstring(dst.read_text())
     assert (root.get("width"), root.get("height")) == ("200", "200")
     assert [child.get("class") for child in root] == ["background"]
+
+
+def test_lattice_render_has_no_placement_flag(tmp_path, capsys):
+    src = tmp_path / "lattice.json"
+    src.write_text(json.dumps({"0,0": {"000": 1.0}}))
+    with pytest.raises(SystemExit) as exc:
+        run(["lattice-render", str(src), "--output", str(tmp_path / "x.svg"),
+             "--placement", "grid"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --placement grid" in capsys.readouterr().err
+    assert not (tmp_path / "x.svg").exists()
+
+
+def test_verify_fails_when_the_hue_of_zero_is_the_other_root(capsys, monkeypatch):
+    # nu = 1/4 also solves x(1 - sin 2 pi nu) = cos 2 pi nu at x = 0, so only
+    # the explicit check of nu_of_x(0.0) sees the wrong branch
+    import combcube.cli as cli
+
+    nu_of_x = cli.nu_of_x
+    monkeypatch.setattr(cli, "nu_of_x", lambda x: 0.25 if x == 0.0 else nu_of_x(x))
+    assert run(["verify", "--seed", "1", "--trials", "5"]) == 1
+    out = capsys.readouterr().out
+    assert re.search(r"^color map residual +max dev +inf  FAIL$", out, re.M)
+    assert out.count("FAIL") == 2 and out.strip().endswith("overall: FAIL")

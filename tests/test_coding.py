@@ -514,3 +514,36 @@ def test_lattice_cells_that_are_not_integers_are_named(cell, message):
     lat = LatticeMultivector({(1, 2): Multivector.scalar(1.0, 3)})
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         lat.get(cell)
+
+
+# -- wrong types and mismatched tables ---------------------------------------
+
+
+def test_a_key_that_is_neither_text_nor_a_sequence_is_named():
+    with pytest.raises(ValueError,
+                       match="^bit-string key must be a string or sequence, got 5$"):
+        comb(5)
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda: decode("x"), "a Multivector"),
+    (lambda: multivector_to_json("x"), "a Multivector"),
+    (lambda: lattice_to_json("x"), "a LatticeMultivector"),
+])
+def test_writers_reject_the_wrong_type(call, what):
+    with pytest.raises(TypeError, match=f"^expected {what}$"):
+        call()
+
+
+def test_readers_reject_a_table_of_another_dimension_and_a_lattice_that_is_a_list():
+    with pytest.raises(ValueError, match="^table is dimension 3, expected 2$"):
+        multivector_from_json('{"000": 1}', dim=2)
+    with pytest.raises(ValueError, match="^lattice file must be a JSON object$"):
+        lattice_from_json("[]")
+
+
+def test_lattice_equality_with_another_type_and_repr():
+    lat = LatticeMultivector({(0, 0): Multivector.zero(3), (1, 0): Multivector.zero(3)})
+    assert lat.__eq__(1) is NotImplemented
+    assert (lat == 1) is False
+    assert repr(lat) == "LatticeMultivector(2 cells)"

@@ -18,7 +18,7 @@ import pytest
 from combcube.algebra import Multivector, _all_finite
 from combcube.coding import LatticeMultivector, lattice_from_json
 from combcube.colorwheel import hue_to_rgb
-from combcube.gates import (Gate, apply_circuit, apply_circuit_lattice, apply_h, teleport,
+from combcube.gates import (Gate, apply_circuit, apply_circuit_lattice, apply_gate, teleport,
                             teleport_network)
 from combcube.render import Disc, Scene, lattice_scene
 from combcube.statevector import StateVector, sv_apply_gate
@@ -140,7 +140,7 @@ def test_operators_keep_their_values_and_the_callers_float_state():
 
 
 _GATE_OVERFLOWS = {
-    "apply_h(big, 1)": (lambda: apply_h(_BIG, 1), "coefficients"),
+    "apply_gate H1": (lambda: apply_gate(_BIG, Gate("H", 1)), "coefficients"),
     "apply_circuit H1": (lambda: apply_circuit([Gate("H", 1)], _BIG), "coefficients"),
     "apply_circuit_lattice H1": (
         lambda: apply_circuit_lattice([Gate("H", 1)], LatticeMultivector({(0,): _BIG})),

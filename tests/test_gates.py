@@ -21,16 +21,10 @@ from combcube.gates import (
     _TELEPORT_STAGES,
     _bit_tables,
     _compile,
-    _op,
     _run,
     apply_circuit,
     apply_circuit_lattice,
-    apply_cx,
-    apply_cz,
     apply_gate,
-    apply_h,
-    apply_x,
-    apply_z,
     circuit_from_json,
     circuit_to_json,
     teleport,
@@ -117,16 +111,16 @@ def test_blade_language_rows():
     b1, b12 = Multivector.blade(0b001, 3), Multivector.blade(0b011, 3)
     b2, b23 = Multivector.blade(0b010, 3), Multivector.blade(0b110, 3)
     b13, b123 = Multivector.blade(0b101, 3), Multivector.blade(0b111, 3)
-    assert apply_cx(b1, 2, 1) == b12
-    assert apply_cx(b12, 2, 1) == b1
-    assert apply_cx(b13, 2, 1) == b123
-    assert apply_cx(b123, 2, 1) == b13
-    assert apply_cx(b2, 3, 2) == b23
-    assert apply_cx(b23, 3, 2) == b2
-    assert apply_cx(b12, 3, 2) == b123
-    assert apply_cx(b123, 3, 2) == b12
-    assert apply_cz(b13, 3, 1) == -b13
-    assert apply_cz(b123, 3, 1) == -b123
+    assert apply_gate(b1, Gate("CX", 2, 1)) == b12
+    assert apply_gate(b12, Gate("CX", 2, 1)) == b1
+    assert apply_gate(b13, Gate("CX", 2, 1)) == b123
+    assert apply_gate(b123, Gate("CX", 2, 1)) == b13
+    assert apply_gate(b2, Gate("CX", 3, 2)) == b23
+    assert apply_gate(b23, Gate("CX", 3, 2)) == b2
+    assert apply_gate(b12, Gate("CX", 3, 2)) == b123
+    assert apply_gate(b123, Gate("CX", 3, 2)) == b12
+    assert apply_gate(b13, Gate("CZ", 3, 1)) == -b13
+    assert apply_gate(b123, Gate("CZ", 3, 1)) == -b123
 
 
 def test_z1_on_example_table():
@@ -134,7 +128,7 @@ def test_z1_on_example_table():
         "000": -0.07, "100": 0.32, "010": -3.08, "001": 1.06,
         "110": -0.85, "101": 0.27, "011": -0.86, "111": 4.07,
     }
-    flipped = apply_z(encode(table, 3), 1)
+    flipped = apply_gate(encode(table, 3), Gate("Z", 1))
     expected = encode(
         {k: (-v if k[0] == "1" else v) for k, v in table.items()}, 3
     )
@@ -144,7 +138,7 @@ def test_z1_on_example_table():
 def test_x2_moves_payload_onto_bit2():
     # X_2 (alpha + beta b1) = alpha b2 + beta b1b2
     state = Multivector([0.6, 0.8, 0, 0, 0, 0, 0, 0], 3)
-    out = apply_x(state, 2)
+    out = apply_gate(state, Gate("X", 2))
     expected = np.zeros(8)
     expected[0b010] = 0.6
     expected[0b011] = 0.8
@@ -154,9 +148,9 @@ def test_x2_moves_payload_onto_bit2():
 def test_h_examples():
     one = Multivector.scalar(1.0, 3)
     b1 = Multivector.blade(0b001, 3)
-    plus = apply_h(one, 1)
+    plus = apply_gate(one, Gate("H", 1))
     assert plus.coeffs[0b000] == INV_SQRT2 and plus.coeffs[0b001] == INV_SQRT2
-    minus = apply_h(b1, 1)
+    minus = apply_gate(b1, Gate("H", 1))
     assert minus.coeffs[0b000] == INV_SQRT2 and minus.coeffs[0b001] == -INV_SQRT2
 
 
@@ -216,9 +210,9 @@ def test_gate_validation():
         Gate("H", 1, 2)
     mv = Multivector.zero(3)
     with pytest.raises(ValueError):
-        apply_x(mv, 4)
+        apply_gate(mv, Gate("X", 4))
     with pytest.raises(ValueError):
-        apply_cx(mv, 2, 9)
+        apply_gate(mv, Gate("CX", 2, 9))
     with pytest.raises(ValueError):
         apply_gate(mv, Gate("X", 11))
 
@@ -326,15 +320,16 @@ def test_bit_rule_is_integral_but_not_bool():
     # numpy integers are accepted and stored as int; bools are rejected
     assert Gate("X", np.int64(1)) == Gate("X", 1)
     assert type(Gate("CX", np.int64(2), np.int64(1)).control) is int
-    assert apply_x(Multivector.blade(0, 3), np.int64(2)) == Multivector.blade(0b010, 3)
+    assert (apply_gate(Multivector.blade(0, 3), Gate("X", np.int64(2)))
+            == Multivector.blade(0b010, 3))
     with pytest.raises(ValueError):
         Gate("X", True)
     with pytest.raises(ValueError):
         Gate("CZ", 2, True)
     with pytest.raises(ValueError):
-        apply_x(Multivector.zero(3), True)
+        apply_gate(Multivector.zero(3), Gate("X", True))
     with pytest.raises(ValueError):
-        apply_cz(Multivector.zero(3), 2, True)
+        apply_gate(Multivector.zero(3), Gate("CZ", 2, True))
     with pytest.raises(ValueError):
         circuit_from_json('[{"kind": "X", "target": true}]')
 
@@ -414,13 +409,13 @@ def test_empty_lattice_and_empty_circuit():
 def test_single_gate_errors_are_unchanged():
     mv = Multivector.zero(3)
     cases = [
-        (lambda: apply_x(mv, 0), "target bit must be in [1, 3], got 0"),
-        (lambda: apply_h(mv, 4), "target bit must be in [1, 3], got 4"),
-        (lambda: apply_z(mv, 1.0), "target bit must be in [1, 3], got 1.0"),
-        (lambda: apply_cx(mv, 2, 9), "control bit must be in [1, 3], got 9"),
-        (lambda: apply_cz(mv, 4, 9), "target bit must be in [1, 3], got 4"),
-        (lambda: apply_cx(mv, 2, 2), "control and target bits must differ"),
-        (lambda: apply_cz(mv, 1, 1), "control and target bits must differ"),
+        (lambda: apply_gate(mv, Gate("X", 0)), "target must be a positive integer, got 0"),
+        (lambda: apply_gate(mv, Gate("H", 4)), "target bit must be in [1, 3], got 4"),
+        (lambda: apply_gate(mv, Gate("Z", 1.0)), "target must be a positive integer, got 1.0"),
+        (lambda: apply_gate(mv, Gate("CX", 2, 9)), "control bit must be in [1, 3], got 9"),
+        (lambda: apply_gate(mv, Gate("CZ", 4, 9)), "target bit must be in [1, 3], got 4"),
+        (lambda: apply_gate(mv, Gate("CX", 2, 2)), "control and target bits must differ"),
+        (lambda: apply_gate(mv, Gate("CZ", 1, 1)), "control and target bits must differ"),
     ]
     for call, message in cases:
         with pytest.raises(ValueError) as err:
@@ -545,9 +540,9 @@ def test_bit_tables_are_read_only_and_unchanged_by_compiling():
         words = np.arange(1 << dim)
         shifts = np.arange(dim)[:, None]
         want = (words, words ^ (1 << shifts), (words >> shifts) & 1 != 0)
-        for ops in ([("Z", 1, None)] * 2, [("CZ", 1, 2), ("Z", 1, None)],
-                    [("Z", 1, None), ("H", 1, None)], [("X", 1, None), ("Z", 1, None)] * 2):
-            _compile(ops, dim)
+        for gates in ([Gate("Z", 1)] * 2, [Gate("CZ", 1, 2), Gate("Z", 1)],
+                      [Gate("Z", 1), Gate("H", 1)], [Gate("X", 1), Gate("Z", 1)] * 2):
+            _compile(gates, dim)
             for table, expected in zip(_bit_tables(dim), want):
                 assert not table.flags.writeable
                 assert table.dtype == expected.dtype
@@ -563,17 +558,17 @@ def test_compile_gives_one_step_per_gate(dim):
     kinds = GATE_KINDS if dim > 1 else ("X", "Z", "H")
     for kind in kinds:
         for length in (1, 2, 5):
-            ops = [_op(g) for g in _random_gates(rng, dim, length, kinds=(kind,))]
-            assert len(_compile(ops, dim)) == len(ops), (kind, length)
-    ops = [_op(g) for g in _random_gates(rng, dim, 24, kinds=kinds)]
-    assert len(_compile(ops, dim)) == len(ops)
-    ops = [("X", 1, None), ("X", 1, None), ("Z", 1, None), ("X", 1, None), ("Z", 1, None)]
-    assert len(_compile(ops, dim)) == 5
+            gates = _random_gates(rng, dim, length, kinds=(kind,))
+            assert len(_compile(gates, dim)) == len(gates), (kind, length)
+    gates = _random_gates(rng, dim, 24, kinds=kinds)
+    assert len(_compile(gates, dim)) == len(gates)
+    gates = [Gate("X", 1), Gate("X", 1), Gate("Z", 1), Gate("X", 1), Gate("Z", 1)]
+    assert len(_compile(gates, dim)) == 5
 
 
 def test_teleport_runs_its_six_gates_one_step_each_bit_for_bit():
     network = teleport_network()
-    steps = [_compile([_op(gate)], 3) for gate in network]
+    steps = [_compile([gate], 3) for gate in network]
     assert len(_TELEPORT_STAGES) == len(network) == 6
     for (step,), (q, s) in zip(steps, _TELEPORT_STAGES):
         assert (step[0] is None) == (q is None) and (step[1] is None) == (s is None)
@@ -587,3 +582,28 @@ def test_teleport_runs_its_six_gates_one_step_each_bit_for_bit():
             for step in steps:
                 x = _run(step, x)
             assert teleport(alpha, beta).coeffs.tobytes() == x.tobytes(), (alpha, beta)
+
+
+# -- labels, wrong types and malformed circuit files -------------------------
+
+
+def test_gate_labels():
+    assert Gate("X", 2).label() == "X2"
+    assert Gate("H", 1).label() == "H1"
+    assert Gate("CX", 2, 1).label() == "X2^1"
+    assert Gate("CZ", 3, 1).label() == "Z3^1"
+
+
+def test_entry_points_reject_a_state_of_the_wrong_type():
+    for call in (lambda: apply_gate("x", Gate("X", 1)), lambda: apply_circuit([], 5)):
+        with pytest.raises(TypeError, match="^expected a Multivector$"):
+            call()
+    with pytest.raises(TypeError, match="^expected a LatticeMultivector$"):
+        apply_circuit_lattice([], "x")
+
+
+def test_circuit_files_reject_entries_that_are_not_gates_or_objects():
+    with pytest.raises(TypeError, match="^circuit entries must be Gates$"):
+        circuit_to_json(["X1"])
+    with pytest.raises(ValueError, match="^circuit entry 0 must be an object$"):
+        circuit_from_json("[1]")

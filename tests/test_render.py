@@ -9,6 +9,7 @@ import collections
 import math
 import re
 import xml.etree.ElementTree as ET
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 
@@ -777,3 +778,45 @@ def test_a_scene_extent_at_the_float_range_still_renders():
     assert scene_bbox(scene) == (-big, big, big, big)
     svg = emit_svg(scene, 10, 10)
     assert "inf" not in svg and "nan" not in svg
+
+
+# -- wrong types, malformed points and a frozen scene ------------------------
+
+
+def test_scene_bbox_rejects_what_is_not_a_scene():
+    with pytest.raises(TypeError, match="^expected a Scene$"):
+        scene_bbox("x")
+
+
+@pytest.mark.parametrize("element", [
+    Polygon(((0.0, 0.0), (1.0, 2.0, 3.0)), hue_to_rgb(0.5), 1.0, "wall-xy"),
+    Disc((0.0, 1.0, 2.0), 1.0, hue_to_rgb(0.5), "corner"),
+])
+def test_scene_points_that_are_not_pairs_are_named(element):
+    with pytest.raises(ValueError, match=r"^scene points must be \(x, y\) pairs$"):
+        Scene(hue_to_rgb(0.5), [element])
+
+
+def _disc_scene():
+    return Scene(hue_to_rgb(0.75), [Disc((0.0, 1.0), 2.0, hue_to_rgb(0.5), "corner")])
+
+
+def test_a_scene_is_frozen_hashable_and_printable():
+    scene = _disc_scene()
+    with pytest.raises(FrozenInstanceError, match="^cannot assign to field 'background'$"):
+        scene.background = hue_to_rgb(0.1)
+    with pytest.raises(FrozenInstanceError, match="^cannot delete field 'background'$"):
+        del scene.background
+    assert scene.background == hue_to_rgb(0.75)
+    assert scene.__eq__(1) is NotImplemented and (scene == 1) is False
+    assert hash(scene) == hash(_disc_scene()) and len({scene, _disc_scene()}) == 1
+    assert repr(scene) == ("Scene(background=RgbColor(r=0.5, g=0.0, b=1.0), elements=(Disc("
+                           "center=(0.0, 1.0), radius=2.0, color=RgbColor(r=0.0, g=1.0, b=1.0), "
+                           "css_class='corner'),))")
+
+
+def test_sine_warp_names_its_period_when_the_phase_is_infinite():
+    lat = LatticeMultivector({(0, 0): teleport(0.6, 0.8), (1, 0): teleport(0.6, 0.8)})
+    message = r"^sine_warp period 5e-324 gives an infinite phase at the point \(1\.0, 0\.0, 0\.0\)$"
+    with pytest.raises(ValueError, match=message):
+        lattice_scene(lat, deformation=sine_warp(period=5e-324))

@@ -7,6 +7,7 @@ correctness evidence for both.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -285,3 +286,21 @@ def test_non_integer_dimension_is_rejected(dim):
 def test_non_integer_basis_index_is_rejected(index):
     with pytest.raises(ValueError, match="index"):
         StateVector.basis(index, 3)
+
+
+def test_repr_names_the_dimension():
+    assert repr(StateVector.basis(0, 3)) == "StateVector(dim=3)"
+
+
+@pytest.mark.parametrize("amps", [[1j] * 8, [[1.0, 2.0], [3.0]], ["a"] * 8])
+def test_amplitudes_that_are_not_an_array_of_reals_are_named(amps):
+    with pytest.raises(ValueError, match="^amplitudes must be an array of real numbers$"):
+        StateVector(amps)
+
+
+def test_a_deviation_past_the_float_range_is_inf_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = equivalence_check(Multivector.scalar(1e308, 3),
+                                StateVector([-1e308] + [0.0] * 7, 3))
+    assert got == (False, math.inf)
