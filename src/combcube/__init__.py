@@ -35,8 +35,6 @@ from .gates import (
     apply_circuit,
     apply_circuit_lattice,
     apply_gate,
-    circuit_from_json,
-    circuit_to_json,
     teleport,
     teleport_network,
 )

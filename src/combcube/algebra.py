@@ -43,6 +43,7 @@ _ALL_PAIRS_MAX_DIM = 5
 _CHUNK_PAIRS = 1 << 13
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_FLOAT64 = np.dtype(np.float64)
 
 
 def _is_int(k) -> bool:
@@ -132,8 +133,14 @@ class Multivector:
     __slots__ = ("_dim", "_coeffs")
 
     def __init__(self, coeffs, dim: int | None = None):
-        try:
-            arr = np.array(coeffs, dtype=np.float64)
+        try:  # infer the dtype first: a cast to float would drop an imaginary part
+            arr = np.array(coeffs)
+            if arr.dtype is not _FLOAT64:
+                if arr.dtype.kind == "c":
+                    raise TypeError
+                arr = arr.astype(np.float64)
+        except OverflowError:  # an int past the float range
+            raise ValueError("coefficients must be finite") from None
         except (TypeError, ValueError):  # complex entries, ragged rows, non-numeric text
             raise ValueError("coefficients must be an array of real numbers") from None
         if arr.ndim != 1:  # a copy, so no writeable base is left under it

@@ -28,7 +28,6 @@ it on bit 3 with no measurement and no classical corrections.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,7 +35,7 @@ import numpy as np
 
 from .algebra import (_INV_SQRT2, Multivector, _all_finite, _as_float, _is_int,
                       _quiet_float_errors, geometric_product)
-from .coding import _LATTICE_DIM, LatticeMultivector, _load_json, bell_carrier
+from .coding import _LATTICE_DIM, LatticeMultivector, bell_carrier
 
 GATE_KINDS = ("X", "Z", "H", "CX", "CZ")
 _CONTROLLED = ("CX", "CZ")
@@ -220,38 +219,3 @@ def teleport(alpha: float, beta: float) -> Multivector:
     payload[0b001] = _as_float(beta, "beta")
     state = geometric_product(Multivector(payload, 3), bell_carrier())
     return Multivector(_run(_TELEPORT_STAGES, state.coeffs), 3)
-
-
-# -- circuit files ----------------------------------------------------------
-# A circuit is a JSON list of {"kind": ..., "target": ...} objects, with a
-# "control" field exactly for the controlled kinds.
-
-
-def circuit_to_json(circuit) -> str:
-    entries = []
-    for gate in circuit:
-        if not isinstance(gate, Gate):
-            raise TypeError("circuit entries must be Gates")
-        entry: dict = {"kind": gate.kind, "target": gate.target}
-        if gate.control is not None:
-            entry["control"] = gate.control
-        entries.append(entry)
-    return json.dumps(entries, indent=2) + "\n"
-
-
-def circuit_from_json(text: str) -> Circuit:
-    obj = _load_json(text)
-    if not isinstance(obj, list):
-        raise ValueError("circuit file must be a JSON list")
-    gates = []
-    for i, entry in enumerate(obj):
-        if not isinstance(entry, dict):
-            raise ValueError(f"circuit entry {i} must be an object")
-        extra = set(entry) - {"kind", "target", "control"}
-        if extra:
-            raise ValueError(f"circuit entry {i} has unknown fields {sorted(extra)}")
-        try:
-            gates.append(Gate(entry["kind"], entry["target"], entry.get("control")))
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ValueError(f"circuit entry {i} is invalid: {exc}")
-    return Circuit(tuple(gates))

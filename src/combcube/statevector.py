@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import (_INV_SQRT2, MAX_DIM, Multivector, _all_finite, _as_float, _is_int,
-                      _quiet_float_errors)
+from .algebra import (_FLOAT64, _INV_SQRT2, MAX_DIM, Multivector, _all_finite, _as_float,
+                      _is_int, _quiet_float_errors)
 from .gates import Gate, teleport_network
 
 _MATRICES = {
@@ -40,8 +40,14 @@ class StateVector:
     __slots__ = ("_dim", "_amps")
 
     def __init__(self, amps, dim: int | None = None):
-        try:
-            arr = np.array(amps, dtype=np.float64)
+        try:  # infer the dtype first: a cast to float would drop an imaginary part
+            arr = np.array(amps)
+            if arr.dtype is not _FLOAT64:
+                if arr.dtype.kind == "c":
+                    raise TypeError
+                arr = arr.astype(np.float64)
+        except OverflowError:  # an int past the float range
+            raise ValueError("amplitudes must be finite") from None
         except (TypeError, ValueError):  # complex entries, ragged rows, non-numeric text
             raise ValueError("amplitudes must be an array of real numbers") from None
         if arr.ndim != 1:  # a copy, so no writeable base is left under it

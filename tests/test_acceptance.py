@@ -280,4 +280,5 @@ def test_public_surface_is_the_imported_names():
     assert len(set(combcube.__all__)) == len(combcube.__all__)
     assert not any(isinstance(getattr(combcube, name), types.ModuleType)
                    for name in combcube.__all__)
-    assert not {"lattice_get", "lattice_set", "ModuleType", "isclose"} & set(combcube.__all__)
+    assert not {"lattice_get", "lattice_set", "ModuleType", "isclose",
+                "circuit_to_json", "circuit_from_json"} & set(combcube.__all__)

@@ -25,8 +25,6 @@ from combcube.gates import (
     apply_circuit,
     apply_circuit_lattice,
     apply_gate,
-    circuit_from_json,
-    circuit_to_json,
     teleport,
     teleport_network,
 )
@@ -291,29 +289,11 @@ def test_apply_circuit_lattice_commutes_with_set_order():
 
 
 def test_circuit_rejects_non_gates():
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="^circuit entries must be Gates$"):
         Circuit(("X1",))
     circuit = Circuit((Gate("X", 1), Gate("H", 2)))
     assert len(circuit) == 2
     assert circuit[1] == Gate("H", 2)
-
-
-def test_circuit_json_roundtrip():
-    net = teleport_network()
-    text = circuit_to_json(net)
-    assert circuit_from_json(text) == net
-    assert '"control": 1' in text
-
-
-def test_circuit_json_validation():
-    with pytest.raises(ValueError):
-        circuit_from_json('{"kind": "X"}')
-    with pytest.raises(ValueError):
-        circuit_from_json('[{"kind": "Q", "target": 1}]')
-    with pytest.raises(ValueError):
-        circuit_from_json('[{"kind": "X", "target": 1, "extra": 2}]')
-    with pytest.raises(ValueError):
-        circuit_from_json('[{"kind": "CX", "target": 2}]')
 
 
 def test_bit_rule_is_integral_but_not_bool():
@@ -330,13 +310,6 @@ def test_bit_rule_is_integral_but_not_bool():
         apply_gate(Multivector.zero(3), Gate("X", True))
     with pytest.raises(ValueError):
         apply_gate(Multivector.zero(3), Gate("CZ", 2, True))
-    with pytest.raises(ValueError):
-        circuit_from_json('[{"kind": "X", "target": true}]')
-
-
-def test_circuit_json_rejects_duplicate_keys():
-    with pytest.raises(ValueError, match="duplicate"):
-        circuit_from_json('[{"kind": "X", "kind": "Z", "target": 1}]')
 
 
 def _random_gates(rng, dim, length, kinds=GATE_KINDS):
@@ -584,7 +557,7 @@ def test_teleport_runs_its_six_gates_one_step_each_bit_for_bit():
             assert teleport(alpha, beta).coeffs.tobytes() == x.tobytes(), (alpha, beta)
 
 
-# -- labels, wrong types and malformed circuit files -------------------------
+# -- labels and wrong types -------------------------------------------------
 
 
 def test_gate_labels():
@@ -600,10 +573,3 @@ def test_entry_points_reject_a_state_of_the_wrong_type():
             call()
     with pytest.raises(TypeError, match="^expected a LatticeMultivector$"):
         apply_circuit_lattice([], "x")
-
-
-def test_circuit_files_reject_entries_that_are_not_gates_or_objects():
-    with pytest.raises(TypeError, match="^circuit entries must be Gates$"):
-        circuit_to_json(["X1"])
-    with pytest.raises(ValueError, match="^circuit entry 0 must be an object$"):
-        circuit_from_json("[1]")

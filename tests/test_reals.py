@@ -41,7 +41,7 @@ from combcube.render import (
     lattice_scene,
     sine_warp,
 )
-from combcube.statevector import sv_teleport
+from combcube.statevector import StateVector, sv_teleport
 
 BIG = 10**400  # an int beyond the float range
 _RED = hue_to_rgb(0.0)
@@ -230,6 +230,16 @@ _PROBES = {
                                 "beta must be a real number, got '0.8'"),
     "emit_svg(width=True)": (lambda: emit_svg(_NO_SCENE, True, 480),
                              "width must be a positive integer, got True"),
+    # numpy's float cast dropped an imaginary part with only a ComplexWarning
+    # (an error under the RuntimeWarning filter of pyproject.toml) and let an
+    # int past the float range out as an OverflowError
+    **{f"{cls.__name__}({name})": (lambda cls=cls, v=v: cls(v, 3), f"{field} {message}")
+       for cls, field in ((Multivector, "coefficients"), (StateVector, "amplitudes"))
+       for name, v, message in (
+           ("complex array", np.full(8, 1 + 2j), "must be an array of real numbers"),
+           ("complex128 list", [np.complex128(1 + 2j)] * 8, "must be an array of real numbers"),
+           ("10**400 list", [BIG] + [0.0] * 7, "must be finite"),
+           ("-10**400 list", [-BIG] + [0] * 7, "must be finite"))},
 }
 
 
