@@ -46,6 +46,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # argv of each CLI golden, by file name
 CLI_CASES = {
     "teleport_alpha0.6_beta0.8.txt": ["teleport", "--alpha", "0.6", "--beta", "0.8"],
+    # subnormal payload: its printed digits show any reordered float operation
+    "teleport_alpha-5e-324_beta1e-310.txt": ["teleport", "--alpha=-5e-324", "--beta=1e-310"],
     "verify_seed42_trials1000.txt": ["verify", "--seed", "42", "--trials", "1000"],
 }
 
