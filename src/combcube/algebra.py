@@ -136,12 +136,12 @@ class Multivector:
         try:  # infer the dtype first: a cast to float would drop an imaginary part
             arr = np.array(coeffs)
             if arr.dtype is not _FLOAT64:
-                if arr.dtype.kind == "c":
+                if arr.dtype.kind in "bcSU":  # bool, complex, bytes or text
                     raise TypeError
                 arr = arr.astype(np.float64)
         except OverflowError:  # an int past the float range
             raise ValueError("coefficients must be finite") from None
-        except (TypeError, ValueError):  # complex entries, ragged rows, non-numeric text
+        except (TypeError, ValueError):  # the kinds above, ragged rows, text among objects
             raise ValueError("coefficients must be an array of real numbers") from None
         if arr.ndim != 1:  # a copy, so no writeable base is left under it
             arr = arr.flatten()

@@ -32,6 +32,7 @@ without the per-value checks.  Anything else takes the full checks of
 from __future__ import annotations
 
 import json
+import re
 from functools import lru_cache
 from typing import Mapping
 
@@ -391,13 +392,20 @@ def cell_to_key(cell) -> str:
     return ",".join(str(p) for p in _as_cell(cell))
 
 
+# ASCII integers joined by commas: no "+", space, "_" or non-ASCII digit,
+# all of which int() would take
+_CELL_KEY = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
+
+
 def key_to_cell(key: str) -> tuple[int, ...]:
     if not isinstance(key, str) or not key:
         raise ValueError(f"cell key must be a non-empty string, got {key!r}")
-    try:
+    try:  # int() also refuses a part past its digit limit
+        if _CELL_KEY.fullmatch(key) is None:
+            raise ValueError
         parts = tuple(map(int, key.split(",")))
     except ValueError:
-        raise ValueError(f"cell key must be comma-separated integers, got {key!r}")
+        raise ValueError(f"cell key must be comma-separated integers, got {key!r}") from None
     return _as_cell(parts)
 
 

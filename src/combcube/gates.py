@@ -9,9 +9,10 @@ permutations and sign flips, not geometric-product multiplications:
 left-multiplying by a generator would pick up blade-reordering signs
 and the action would no longer be bitwise.
 
-A gate is always a ``Gate``.  Every entry point compiles its gates
-into one step per gate and runs the steps on the coefficient axis of
-an array of shape (..., 2**dim):
+A gate is always a ``Gate``.  ``apply_gate``, ``apply_circuit`` and
+``apply_circuit_lattice`` compile their gates into one step per gate
+and run the steps on the coefficient axis of an array of shape
+(..., 2**dim):
 X and CX are one gather ``x[q]``, Z and CZ one sign flip ``s * x``
 with signs exactly +-1, and H is ``(x[q] + s * x) / sqrt(2)``, the X
 part plus the Z part.  Compiling reads per-dimension tables built once
@@ -24,6 +25,9 @@ whole coefficient block, rejects it.
 ``teleport_network`` is the six-gate sequence that moves a payload
 sitting on bit 1 across the entangled carrier on bits 2 and 3, landing
 it on bit 3 with no measurement and no classical corrections.
+``teleport`` runs those six steps written out on the eight coefficients
+(``_teleport_steps``), the same float operations in the same order, so
+its bits are those of the compiled steps; the tests check this.
 """
 
 from __future__ import annotations
@@ -192,7 +196,34 @@ _TELEPORT_NETWORK = Circuit((
     Gate("H", target=2),
     Gate("H", target=1),
 ))
-_TELEPORT_STAGES = _compile(_TELEPORT_NETWORK, 3)
+
+
+def _teleport_steps(x0, x1, x2, x3, x4, x5, x6, x7) -> list:
+    """The six steps of the teleport network written out on the eight
+    coefficients, word by word: the float operations of ``_run`` on
+    ``_compile(_TELEPORT_NETWORK, 3)`` in the same order, so the bits are
+    the same.  A gather is a renaming, the sign flip a unary minus and H
+    ``(X part + Z part) * _INV_SQRT2``, with ``a - b`` for ``a + -b``.
+    There is no indexing, so numpy columns ``block[:, w]`` work as well.
+    """
+    r = _INV_SQRT2
+    # X_2^1: words with bit 1 set take the word with bit 2 toggled
+    x1, x3, x5, x7 = x3, x1, x7, x5
+    # H_1
+    x0, x1, x2, x3, x4, x5, x6, x7 = (
+        (x1 + x0) * r, (x0 - x1) * r, (x3 + x2) * r, (x2 - x3) * r,
+        (x5 + x4) * r, (x4 - x5) * r, (x7 + x6) * r, (x6 - x7) * r)
+    # X_3^2: words with bit 2 set take the word with bit 3 toggled
+    x2, x3, x6, x7 = x6, x7, x2, x3
+    # Z_3^1: words with bits 1 and 3 set change sign
+    x5, x7 = -x5, -x7
+    # H_2
+    x0, x1, x2, x3, x4, x5, x6, x7 = (
+        (x2 + x0) * r, (x3 + x1) * r, (x0 - x2) * r, (x1 - x3) * r,
+        (x6 + x4) * r, (x7 + x5) * r, (x4 - x6) * r, (x5 - x7) * r)
+    # H_1
+    return [(x1 + x0) * r, (x0 - x1) * r, (x3 + x2) * r, (x2 - x3) * r,
+            (x5 + x4) * r, (x4 - x5) * r, (x7 + x6) * r, (x6 - x7) * r]
 
 
 def teleport_network() -> Circuit:
@@ -211,11 +242,12 @@ def teleport(alpha: float, beta: float) -> Multivector:
 
     The input state is the geometric product of the payload with the
     entangled carrier (1 + b2 b3)/sqrt(2); the network then acts purely
-    bitwise, through steps compiled once at import.  Exact up to float
-    rounding, with no scaling residue.
+    bitwise, written out on the eight coefficients as Python floats, so
+    an overflow on the way is an inf for the final check, not a numpy
+    warning.  Exact up to float rounding, with no scaling residue.
     """
     payload = np.zeros(8)
     payload[0b000] = _as_float(alpha, "alpha")
     payload[0b001] = _as_float(beta, "beta")
     state = geometric_product(Multivector(payload, 3), bell_carrier())
-    return Multivector(_run(_TELEPORT_STAGES, state.coeffs), 3)
+    return Multivector(_teleport_steps(*state.coeffs.tolist()), 3)

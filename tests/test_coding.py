@@ -278,7 +278,7 @@ def test_lattice_json_rejects_duplicate_cells():
     with pytest.raises(ValueError, match="duplicate"):
         lattice_from_json('{"0,0": {"000": 1, "000": 2}}')
     with pytest.raises(ValueError, match="repeats cell"):
-        lattice_from_json('{"0,0": {"000": 1}, "0, 0": {"000": 2}}')
+        lattice_from_json('{"0,0": {"000": 1}, "-0,00": {"000": 2}}')
 
 
 def test_lattice_cell_indices_are_bounded():
@@ -442,7 +442,8 @@ def test_encode_messages_are_pinned(table, message):
 
 
 @pytest.mark.parametrize("key, cell", [
-    ("1_0", (10,)), (" 2", (2,)), ("+3", (3,)), ("-0", (0,)), ("1, 2", (1, 2)),
+    ("10", (10,)), ("2", (2,)), ("3", (3,)), ("-0", (0,)), ("1,2", (1, 2)),
+    ("007,-12", (7, -12)),
 ])
 def test_key_to_cell_reads_each_index_as_int_does(key, cell):
     assert key_to_cell(key) == cell
@@ -455,10 +456,34 @@ def test_key_to_cell_reads_each_index_as_int_does(key, cell):
     ("", "cell key must be a non-empty string, got ''"),
     ("1,,2", "cell key must be comma-separated integers, got '1,,2'"),
     ("1.5", "cell key must be comma-separated integers, got '1.5'"),
+    ("1_0", "cell key must be comma-separated integers, got '1_0'"),
+    (" 2", "cell key must be comma-separated integers, got ' 2'"),
+    ("+3", "cell key must be comma-separated integers, got '+3'"),
+    ("1, 2", "cell key must be comma-separated integers, got '1, 2'"),
+    ("+1,2", "cell key must be comma-separated integers, got '+1,2'"),
+    ("1_0,2", "cell key must be comma-separated integers, got '1_0,2'"),
+    (" 1,2", "cell key must be comma-separated integers, got ' 1,2'"),
+    ("１,2", "cell key must be comma-separated integers, got '１,2'"),
+    ("1,2 ", "cell key must be comma-separated integers, got '1,2 '"),
+    ("1,", "cell key must be comma-separated integers, got '1,'"),
+    ("-", "cell key must be comma-separated integers, got '-'"),
+    ("--1", "cell key must be comma-separated integers, got '--1'"),
     (5, "cell key must be a non-empty string, got 5"),
 ])
 def test_key_to_cell_messages_are_pinned(key, message):
     _raises_exactly(message, key_to_cell, key)
+
+
+@pytest.mark.parametrize("key", ["+1,2", "1_0,2", " 1,2", "１,2"])
+def test_lattice_from_json_refuses_cell_keys_that_are_not_ascii_integers(key):
+    _raises_exactly(f"cell key must be comma-separated integers, got {key!r}",
+                    lattice_from_json, json.dumps({key: {"000": 1.0}}, ensure_ascii=False))
+
+
+def test_key_to_cell_refuses_a_part_past_the_int_digit_limit():
+    # the pattern passes it, but int() refuses more than 4,300 digits
+    with pytest.raises(ValueError, match="^cell key must be comma-separated integers, got '1111"):
+        key_to_cell("1" * 5000)
 
 
 def test_a_bare_integer_cell_is_range_checked():

@@ -6,6 +6,7 @@ checked as whole-state operators (involutions, norm and linearity).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,10 +19,10 @@ from combcube.gates import (
     GATE_KINDS,
     Circuit,
     Gate,
-    _TELEPORT_STAGES,
     _bit_tables,
     _compile,
     _run,
+    _teleport_steps,
     apply_circuit,
     apply_circuit_lattice,
     apply_gate,
@@ -430,6 +431,52 @@ def test_teleport_still_rejects_an_overflowing_payload():
             teleport(1.5e308, 1)
 
 
+def test_teleport_overflow_is_the_finiteness_error_with_no_warning():
+    # no np.errstate: the network runs on Python floats, which overflow to
+    # inf silently, and the result's finiteness check reports it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha, beta in ((1.5e308, 1), (1.7976931348623157e308, -1.7976931348623157e308)):
+            with pytest.raises(ValueError, match="^coefficients must be finite$"):
+                teleport(alpha, beta)
+
+
+# 1e-300..1e300 magnitudes, every edge payload, and any float (subnormals
+# and values near the float range included)
+_PAYLOAD_VALUES = st.one_of(
+    st.sampled_from(EDGE_PAYLOADS),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-10, 10), st.integers(-300, 300)),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _outcome(call):
+    """The result's bytes, or the message of the ValueError raised."""
+    try:
+        return call().coeffs.tobytes()
+    except ValueError as err:
+        return str(err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_PAYLOAD_VALUES, _PAYLOAD_VALUES)
+def test_teleport_matches_the_gate_engine_bit_for_bit(alpha, beta):
+    payload = np.zeros(8)
+    payload[0b000], payload[0b001] = alpha, beta
+    state = geometric_product(Multivector(payload, 3), bell_carrier())
+    want = _outcome(lambda: apply_circuit(teleport_network(), state))
+    assert _outcome(lambda: teleport(alpha, beta)) == want
+
+
+def test_teleport_steps_on_block_columns_match_the_compiled_network_bit_for_bit():
+    rng = np.random.default_rng(3300)
+    block = _edge_coeffs(rng, (500, 8))
+    want = _run(_compile(teleport_network(), 3), block).tobytes()
+    assert np.stack(_teleport_steps(*block.T), axis=-1).tobytes() == want
+    # and row by row on Python floats, as teleport runs it
+    assert np.array([_teleport_steps(*row) for row in block.tolist()]).tobytes() == want
+
+
 # -- compiled steps against one gate at a time by its own formula ----------
 
 
@@ -542,11 +589,6 @@ def test_compile_gives_one_step_per_gate(dim):
 def test_teleport_runs_its_six_gates_one_step_each_bit_for_bit():
     network = teleport_network()
     steps = [_compile([gate], 3) for gate in network]
-    assert len(_TELEPORT_STAGES) == len(network) == 6
-    for (step,), (q, s) in zip(steps, _TELEPORT_STAGES):
-        assert (step[0] is None) == (q is None) and (step[1] is None) == (s is None)
-        assert q is None or np.array_equal(step[0], q)
-        assert s is None or np.array_equal(step[1], s)
     for alpha in EDGE_PAYLOADS:
         for beta in EDGE_PAYLOADS:
             payload = np.zeros(8)

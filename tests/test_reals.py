@@ -239,7 +239,12 @@ _PROBES = {
            ("complex array", np.full(8, 1 + 2j), "must be an array of real numbers"),
            ("complex128 list", [np.complex128(1 + 2j)] * 8, "must be an array of real numbers"),
            ("10**400 list", [BIG] + [0.0] * 7, "must be finite"),
-           ("-10**400 list", [-BIG] + [0] * 7, "must be finite"))},
+           ("-10**400 list", [-BIG] + [0] * 7, "must be finite"),
+           # numpy parsed text and read bools as 0 and 1
+           ("text list", ["0.5"] * 8, "must be an array of real numbers"),
+           ("bytes list", [b"0.5"] * 8, "must be an array of real numbers"),
+           ("bool list", [True] * 8, "must be an array of real numbers"),
+           ("bool array", np.ones(8, dtype=bool), "must be an array of real numbers"))},
 }
 
 
