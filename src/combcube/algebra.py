@@ -17,7 +17,8 @@ Geometric Algebra for Computer Science (2007), ch. 19.
 
 Every module checks its input with the rules kept here: integers
 (``_is_int``, ``_check_int``), reals (``_is_real``, ``_as_float``,
-``_check_real``) and array finiteness (``_all_finite``).
+``_check_real``), outside arrays (``_real_array``) and array finiteness
+(``_all_finite``).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import math
 import numbers
 import sys
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -44,6 +46,7 @@ _CHUNK_PAIRS = 1 << 13
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _FLOAT64 = np.dtype(np.float64)
+_BOOLS = frozenset((bool, np.bool_))
 
 
 def _is_int(k) -> bool:
@@ -89,10 +92,11 @@ def _quiet_float_errors():
     return np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
-def _check_dim(dim) -> None:
+def _check_dim(dim) -> int:
     _check_int(dim, "dimension")
     if not 1 <= dim <= MAX_DIM:
         raise ValueError(f"dimension must be in [1, {MAX_DIM}], got {dim}")
+    return int(dim)
 
 
 def _all_finite(arr: np.ndarray) -> np.bool_:
@@ -102,6 +106,53 @@ def _all_finite(arr: np.ndarray) -> np.bool_:
     half the cost on a few entries, and never warns on inf or nan.
     """
     return np.count_nonzero(np.isfinite(arr)) == arr.size
+
+
+def _real_array(values, field: str) -> np.ndarray:
+    """``values`` as a float64 array by the real-number rule, else a ValueError
+    naming ``field``.  numpy infers the dtype (a cast to float would drop an
+    imaginary part or parse text), and the float and integer kinds pass; so
+    does an object array of reals.  A list or tuple must hold no bool, which
+    numpy reads among numbers as 0 or 1."""
+    try:
+        arr = np.array(values)
+        if type(values) in (list, tuple):
+            items = values
+            if arr.ndim > 1:  # nested rows, flattened lazily; a loop costs 0.2 us
+                for _ in range(arr.ndim - 1):
+                    items = chain.from_iterable(items)
+            if not _BOOLS.isdisjoint(map(type, items)):
+                raise TypeError
+        if arr.dtype is not _FLOAT64:
+            kind = arr.dtype.kind
+            if kind not in "fiu" and not (kind == "O" and all(map(_is_real, arr.flat))):
+                raise TypeError
+            arr = arr.astype(np.float64)
+    except OverflowError:  # an int past the float range
+        raise ValueError(f"{field} must be finite") from None
+    except (TypeError, ValueError):  # the kinds above, ragged rows
+        raise ValueError(f"{field} must be an array of real numbers") from None
+    return arr
+
+
+def _real_vector(values, dim, field: str, where: str = "") -> tuple[np.ndarray, int]:
+    """Multivector coefficients or StateVector amplitudes, named by the plural
+    ``field``, as a read-only flat array of 2**dim finite entries and ``dim``
+    (from the count when None); a count error adds ``where``, formatted with dim."""
+    arr = _real_array(values, field)
+    if arr.ndim != 1:  # a copy, so no writeable base is left under it
+        arr = arr.flatten()
+    if dim is None:
+        if arr.size == 0 or arr.size & (arr.size - 1):
+            raise ValueError(f"{field[:-1]} count must be a power of two, got {arr.size}")
+        dim = arr.size.bit_length() - 1
+    dim = _check_dim(dim)
+    if arr.size != (1 << dim):
+        raise ValueError(f"expected {1 << dim} {field}{where.format(dim)}, got {arr.size}")
+    if not _all_finite(arr):
+        raise ValueError(f"{field} must be finite")
+    arr.setflags(write=False)
+    return arr, dim
 
 
 def blade_product(m1: int, m2: int, dim: int) -> tuple[int, int]:
@@ -133,30 +184,7 @@ class Multivector:
     __slots__ = ("_dim", "_coeffs")
 
     def __init__(self, coeffs, dim: int | None = None):
-        try:  # infer the dtype first: a cast to float would drop an imaginary part
-            arr = np.array(coeffs)
-            if arr.dtype is not _FLOAT64:
-                if arr.dtype.kind in "bcSU":  # bool, complex, bytes or text
-                    raise TypeError
-                arr = arr.astype(np.float64)
-        except OverflowError:  # an int past the float range
-            raise ValueError("coefficients must be finite") from None
-        except (TypeError, ValueError):  # the kinds above, ragged rows, text among objects
-            raise ValueError("coefficients must be an array of real numbers") from None
-        if arr.ndim != 1:  # a copy, so no writeable base is left under it
-            arr = arr.flatten()
-        if dim is None:
-            if arr.size == 0 or arr.size & (arr.size - 1):
-                raise ValueError(f"coefficient count must be a power of two, got {arr.size}")
-            dim = arr.size.bit_length() - 1
-        _check_dim(dim)
-        if arr.size != (1 << dim):
-            raise ValueError(f"expected {1 << dim} coefficients for Cl({dim}), got {arr.size}")
-        if not _all_finite(arr):
-            raise ValueError("coefficients must be finite")
-        arr.setflags(write=False)
-        self._dim = int(dim)
-        self._coeffs = arr
+        self._coeffs, self._dim = _real_vector(coeffs, dim, "coefficients", " for Cl({})")
 
     @property
     def dim(self) -> int:
@@ -349,8 +377,7 @@ def grade_projection(a: Multivector, g: int) -> Multivector:
     """Keep only the coefficients of blades with exactly g generators."""
     if not isinstance(a, Multivector):
         raise TypeError("expected a Multivector")
-    if not _is_int(g):
-        raise ValueError(f"grade must be an integer, got {g!r}")
+    _check_int(g, "grade")
     if not 0 <= g <= a.dim:
         raise ValueError(f"grade must be in [0, {a.dim}], got {g}")
     mask = _word_tables(a.dim)[0] == g

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import Multivector, _quiet_float_errors
+from .algebra import Multivector
 from .coding import (
     _fmt_number,
     _key_words,
@@ -403,11 +403,8 @@ def _cmd_verify(args) -> int:
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # A value that overflows is rejected by a finiteness check with its
-    # own message, so numpy's float warnings would only repeat it.
     try:
-        with _quiet_float_errors():
-            return args.func(args)
+        return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -110,6 +110,8 @@ def encode(table: Mapping, dim: int) -> Multivector:
     comb, is an error.
     """
     _check_dim(dim)
+    if not isinstance(table, Mapping):
+        raise TypeError(f"table must be a mapping, got {type(table).__name__}")
     coeffs = [0.0] * (1 << dim)
     _fill(coeffs, 0, table, dim)
     return Multivector(coeffs, dim)
@@ -176,14 +178,9 @@ def bell_basis() -> tuple[Multivector, ...]:
     Order: (1 + b1 b2)/sqrt(2), (1 - b1 b2)/sqrt(2),
     (b1 + b2)/sqrt(2), (b1 - b2)/sqrt(2).
     """
-    out = []
-    for i, j, sgn in ((0b000, 0b011, 1.0), (0b000, 0b011, -1.0),
-                      (0b001, 0b010, 1.0), (0b001, 0b010, -1.0)):
-        coeffs = np.zeros(8)
-        coeffs[i] = _INV_SQRT2
-        coeffs[j] = sgn * _INV_SQRT2
-        out.append(Multivector(coeffs, 3))
-    return tuple(out)
+    return tuple(Multivector.blade(i, 3, _INV_SQRT2) + Multivector.blade(j, 3, sgn * _INV_SQRT2)
+                 for i, j, sgn in ((0b000, 0b011, 1.0), (0b000, 0b011, -1.0),
+                                   (0b001, 0b010, 1.0), (0b001, 0b010, -1.0)))
 
 
 def _as_cell(cell) -> tuple[int, ...]:
@@ -243,6 +240,8 @@ class LatticeMultivector:
     __slots__ = ("_cells", "_block", "_index")
 
     def __init__(self, cells: Mapping | None = None):
+        if cells is not None and not isinstance(cells, Mapping):
+            raise TypeError(f"cells must be a mapping, got {type(cells).__name__}")
         keys, rows = [], []
         for cell, mv in cells.items() if cells is not None else ():
             keys.append(_as_cell(cell))

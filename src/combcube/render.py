@@ -34,7 +34,7 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .algebra import (Multivector, _all_finite, _as_float, _check_real, _is_int, _is_real,
-                      _quiet_float_errors)
+                      _quiet_float_errors, _real_array)
 from .coding import MAX_CELL_INDEX, LatticeMultivector, _padded
 from .colorwheel import RgbColor, hue_to_rgb, nu_of_x, rgb_to_hex
 
@@ -178,13 +178,17 @@ class Scene:
                 kind, pts, field = Disc, (el.center,), "radius"
             else:
                 raise TypeError(f"unsupported scene element {type(el).__name__}")
+            # a quote would end the SVG attribute value, and <, > or & start markup
+            if type(el.css_class) is not str or any(c in el.css_class for c in '"<>&'):
+                raise ValueError(f'css_class must be a string without ", <, > or &, '
+                                 f'got {el.css_class!r}')
             value = _check_real(getattr(el, field), f"{kind.__name__} {field}")
             numbers = tuple(range(len(points), len(points) + len(pts)))
             table.append(_Row(kind, el.css_class, numbers, len(colors), value))
             points.extend(pts)
             colors.append(el.color)
-        try:
-            corners = np.array(points, dtype=np.float64).reshape(1, len(points), 2)
+        try:  # a point that is no pair of real numbers, such as ("1", 2), or ragged rows
+            corners = _real_array(points, "scene points").reshape(1, len(points), 2)
         except ValueError:
             raise ValueError("scene points must be (x, y) pairs") from None
         if not _all_finite(corners):
@@ -291,12 +295,10 @@ def _cubes(block: np.ndarray, offsets: np.ndarray, style: CubeStyle, deformation
     if deformation is not None:
         moved = [deformation(p) for p in map(tuple, world.reshape(-1, 3).tolist())]
         try:
-            points = np.array(moved, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):
+            points = _real_array(moved, "deformation")
+        except ValueError:
             points = None
-        # numpy reads None as nan, so a result that is not finite is searched for one
-        if points is None or points.shape != (len(moved), 3) or (
-                not _all_finite(points) and any(None in q for q in moved)):
+        if points is None or points.shape != (len(moved), 3):
             raise ValueError("deformation must return a 3-point")
         world = points.reshape(world.shape)
     theta = math.radians(style.angle_deg)

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import (_FLOAT64, _INV_SQRT2, MAX_DIM, Multivector, _all_finite, _as_float,
-                      _is_int, _quiet_float_errors)
+from .algebra import (_INV_SQRT2, Multivector, _as_float, _check_dim, _check_int, _check_real,
+                      _quiet_float_errors, _real_vector)
 from .gates import Gate, teleport_network
 
 _MATRICES = {
@@ -28,42 +28,13 @@ _MATRICES = {
 }
 
 
-def _check_dim(dim) -> int:
-    if not _is_int(dim) or not 1 <= dim <= MAX_DIM:
-        raise ValueError(f"dimension must be in [1, {MAX_DIM}], got {dim!r}")
-    return int(dim)
-
-
 class StateVector:
     """Immutable real amplitude vector over n bits, 1 <= n <= MAX_DIM."""
 
     __slots__ = ("_dim", "_amps")
 
     def __init__(self, amps, dim: int | None = None):
-        try:  # infer the dtype first: a cast to float would drop an imaginary part
-            arr = np.array(amps)
-            if arr.dtype is not _FLOAT64:
-                if arr.dtype.kind in "bcSU":  # bool, complex, bytes or text
-                    raise TypeError
-                arr = arr.astype(np.float64)
-        except OverflowError:  # an int past the float range
-            raise ValueError("amplitudes must be finite") from None
-        except (TypeError, ValueError):  # the kinds above, ragged rows, text among objects
-            raise ValueError("amplitudes must be an array of real numbers") from None
-        if arr.ndim != 1:  # a copy, so no writeable base is left under it
-            arr = arr.flatten()
-        if dim is None:
-            if arr.size == 0 or arr.size & (arr.size - 1):
-                raise ValueError(f"amplitude count must be a power of two, got {arr.size}")
-            dim = arr.size.bit_length() - 1
-        dim = _check_dim(dim)
-        if arr.size != (1 << dim):
-            raise ValueError(f"expected {1 << dim} amplitudes, got {arr.size}")
-        if not _all_finite(arr):
-            raise ValueError("amplitudes must be finite")
-        arr.setflags(write=False)
-        self._dim = dim
-        self._amps = arr
+        self._amps, self._dim = _real_vector(amps, dim, "amplitudes")
 
     @property
     def dim(self) -> int:
@@ -76,8 +47,7 @@ class StateVector:
     @classmethod
     def basis(cls, index: int, dim: int) -> "StateVector":
         dim = _check_dim(dim)
-        if not _is_int(index):
-            raise ValueError(f"basis index must be an integer, got {index!r}")
+        _check_int(index, "basis index")
         if not 0 <= index < (1 << dim):
             raise ValueError(f"basis index out of range: {index}")
         arr = np.zeros(1 << dim)
@@ -158,12 +128,16 @@ def equivalence_check(
     """Compare comb coefficients against amplitudes index by index.
 
     Returns (ok, max_abs_deviation).  The two containers use the same
-    index convention, so this is a straight elementwise comparison.
+    index convention, so this is a straight elementwise comparison; ``tol``
+    is a finite real number, zero or more.
     """
     if not isinstance(mv, Multivector) or not isinstance(sv, StateVector):
         raise TypeError("expected (Multivector, StateVector)")
     if mv.dim != sv.dim:
         raise ValueError(f"dimension mismatch: {mv.dim} vs {sv.dim}")
+    tol = _check_real(tol, "tol")
+    if tol < 0:
+        raise ValueError(f"tol must not be negative, got {tol!r}")
     with _quiet_float_errors():  # a difference past the float range reads as inf
         deviation = float(np.max(np.abs(mv.coeffs - sv.amps)))
     return deviation <= tol, deviation

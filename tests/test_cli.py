@@ -82,6 +82,13 @@ def test_color_pole_is_a_domain_error(capsys):
     assert err.startswith("error:")
 
 
+def test_an_overflowing_teleport_is_one_error_line_without_a_warning(capsys):
+    # under the RuntimeWarning filter of pyproject.toml a numpy warning fails this
+    assert run(["teleport", "--alpha", "1.7976931348623157e308",
+                "--beta", "-1.7976931348623157e308"]) == 2
+    assert capsys.readouterr().err == "error: coefficients must be finite\n"
+
+
 def test_color_flags_are_exclusive():
     with pytest.raises(SystemExit) as exc:
         run(["color", "--x", "1", "--nu", "0.5"])

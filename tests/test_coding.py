@@ -557,6 +557,16 @@ def test_writers_reject_the_wrong_type(call, what):
         call()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: encode([("000", 1.0)], 3), "table must be a mapping, got list"),
+    (lambda: encode(5, 3), "table must be a mapping, got int"),
+    (lambda: LatticeMultivector([1, 2]), "cells must be a mapping, got list"),
+])
+def test_a_table_or_cells_that_is_not_a_mapping_is_named(call, message):
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        call()
+
+
 def test_readers_reject_a_table_of_another_dimension_and_a_lattice_that_is_a_list():
     with pytest.raises(ValueError, match="^table is dimension 3, expected 2$"):
         multivector_from_json('{"000": 1}', dim=2)

@@ -6,7 +6,10 @@ float range as +-inf; ``algebra._check_real`` also demands a finite
 value.  Every numeric parameter of the colour map, the cube style, the
 scene elements, the grid placement, the lattice offsets, the warp, the
 two teleport entry points and the multivector coefficients and scalar
-operands goes through them.  So a value either acts exactly as
+operands goes through them.  Outside arrays go through
+``algebra._real_array``, which applies the same rule to each entry:
+multivector coefficients, state-vector amplitudes, scene points and
+deformation results.  So a value either acts exactly as
 ``float(value)`` does, or it is a ValueError that names the parameter
 (or, for a value that converts to nan or +-inf, the finiteness check
 further on); no TypeError or OverflowError escapes, except that a scalar
@@ -18,6 +21,7 @@ integer spacing or index multiplies exactly, as a Python int.
 
 import math
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -41,7 +45,7 @@ from combcube.render import (
     lattice_scene,
     sine_warp,
 )
-from combcube.statevector import StateVector, sv_teleport
+from combcube.statevector import StateVector, equivalence_check, sv_teleport
 
 BIG = 10**400  # an int beyond the float range
 _RED = hue_to_rgb(0.0)
@@ -138,6 +142,15 @@ _PARAMETERS = {
                           "alpha|amplitudes must be finite", _plain_float),
     "sv_teleport.beta": (lambda v: sv_teleport(0.6, v).amps.tobytes(),
                          "beta|amplitudes must be finite", _plain_float),
+    # the four sites of the array rule, one entry each
+    "Multivector.coeffs": (lambda v: Multivector([v] + [0.5] * 7, 3).coeffs.tobytes(),
+                           "coefficients", _plain_float),
+    "StateVector.amps": (lambda v: StateVector([v] + [0.5] * 7, 3).amps.tobytes(),
+                         "amplitudes", _plain_float),
+    "Scene.points": (lambda v: _drawn(Scene(_RED, [Disc((v, 0.0), 5.0, _RED, "corner")])),
+                     "scene points", _plain_float),
+    "lattice_scene.deformation": (lambda v: _lattice(deformation=lambda p: (v, p[1], p[2])),
+                                  "deformation|cube corners must be finite", _plain_float),
 }
 
 
@@ -178,6 +191,7 @@ def test_a_numeric_parameter_acts_as_its_float_or_names_itself(name, v):
 
 _LAT = LatticeMultivector({(0, 0): Multivector.zero(3)})
 _NO_SCENE = Scene(hue_to_rgb(0.75))
+_MV0, _SV0 = Multivector.zero(3), StateVector.basis(0, 3)
 
 # every input that let a TypeError or OverflowError escape, or was wrongly
 # accepted, before the rule was shared; the ValueError it gives now
@@ -244,7 +258,34 @@ _PROBES = {
            ("text list", ["0.5"] * 8, "must be an array of real numbers"),
            ("bytes list", [b"0.5"] * 8, "must be an array of real numbers"),
            ("bool list", [True] * 8, "must be an array of real numbers"),
-           ("bool array", np.ones(8, dtype=bool), "must be an array of real numbers"))},
+           ("bool array", np.ones(8, dtype=bool), "must be an array of real numbers"),
+           # numpy read a bool among numbers as 0 or 1, and parsed text in an object array
+           ("bool among floats", [True, 0.5] * 4, "must be an array of real numbers"),
+           ("nested bool among ints", [[1, 2], [3, np.True_]] * 2,
+            "must be an array of real numbers"),
+           ("object text array", np.array(["0.5"] * 8, dtype=object),
+            "must be an array of real numbers"),
+           ("Decimal list", [Decimal("0.5")] * 8, "must be an array of real numbers"),
+           ("None list", [None] + [0.5] * 7, "must be an array of real numbers"))},
+    # a point or deformation result that numpy parsed or read as 0 and 1
+    "Disc at ('1', '2')": (lambda: Scene(_RED, [Disc(("1", "2"), 1.0, _RED, "corner")]),
+                           "scene points must be (x, y) pairs"),
+    "Segment from (b'1', 0.0)": (
+        lambda: Scene(_RED, [Segment((b"1", 0.0), (0.0, 0.0), _RED, 1.0, "edge-x")]),
+        "scene points must be (x, y) pairs"),
+    "deformation to ('1', '2', '3')": (
+        lambda: lattice_scene(_LAT, deformation=lambda p: ("1", "2", "3")),
+        "deformation must return a 3-point"),
+    "deformation to (True, y, z)": (
+        lambda: lattice_scene(_LAT, deformation=lambda p: (True, p[1], p[2])),
+        "deformation must return a 3-point"),
+    # a tolerance that escaped as a TypeError or made every check fail
+    "equivalence_check(tol='x')": (lambda: equivalence_check(_MV0, _SV0, tol="x"),
+                                   "tol must be a real number, got 'x'"),
+    "equivalence_check(tol=nan)": (lambda: equivalence_check(_MV0, _SV0, tol=math.nan),
+                                   "tol must be finite, got nan"),
+    "equivalence_check(tol=-1e-12)": (lambda: equivalence_check(_MV0, _SV0, tol=-1e-12),
+                                      "tol must not be negative, got -1e-12"),
 }
 
 

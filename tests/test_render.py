@@ -797,6 +797,13 @@ def test_scene_points_that_are_not_pairs_are_named(element):
         Scene(hue_to_rgb(0.5), [element])
 
 
+@pytest.mark.parametrize("css_class", ['f" onload="x', "a<b", "a>b", "a&amp;b", None])
+def test_a_css_class_that_would_break_the_markup_is_named(css_class):
+    element = Polygon(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)), hue_to_rgb(0.5), 1.0, css_class)
+    with pytest.raises(ValueError, match="^css_class must be a string without "):
+        Scene(hue_to_rgb(0.5), [element])
+
+
 def _disc_scene():
     return Scene(hue_to_rgb(0.75), [Disc((0.0, 1.0), 2.0, hue_to_rgb(0.5), "corner")])
 

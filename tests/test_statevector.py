@@ -42,6 +42,13 @@ def test_empty_amplitudes_name_the_count():
         StateVector([])
 
 
+@pytest.mark.parametrize("dim", [3.0, "3", True])
+def test_a_dimension_that_is_not_an_integer_is_named(dim):
+    for call in (lambda: StateVector([0.5] * 8, dim), lambda: StateVector.basis(0, dim)):
+        with pytest.raises(ValueError, match="^dimension must be an integer, got "):
+            call()
+
+
 def test_statevector_construction():
     sv = StateVector([1, 0, 0, 0])
     assert sv.dim == 2
