@@ -186,12 +186,14 @@ def bell_basis() -> tuple[Multivector, ...]:
 def _as_cell(cell) -> tuple[int, ...]:
     """A checked cell index: 1 to 3 integers, each within +-MAX_CELL_INDEX.
 
-    A tuple of plain ints, what ``key_to_cell`` and most callers pass, is
-    recognised by exact type before any abstract-class check.
+    A tuple of 1 to 3 plain ints in range, what ``key_to_cell`` and most
+    callers pass, is recognised by exact type and returned as given;
+    anything else takes the full checks.
     """
-    if type(cell) is tuple and all([type(p) is int for p in cell]):
-        parts = cell
-    elif _is_int(cell):
+    if (type(cell) is tuple and 0 < len(cell) <= 3
+            and all([type(p) is int and -MAX_CELL_INDEX <= p <= MAX_CELL_INDEX for p in cell])):
+        return cell
+    if _is_int(cell):
         parts = (int(cell),)
     else:
         try:

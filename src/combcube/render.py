@@ -28,14 +28,15 @@ from __future__ import annotations
 import math
 from dataclasses import FrozenInstanceError, dataclass, fields
 from functools import cache, cached_property
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .algebra import (Multivector, _all_finite, _as_float, _check_real, _is_int, _is_real,
+from .algebra import (Multivector, _all_finite, _as_float, _check_real, _is_int,
                       _quiet_float_errors, _real_array)
-from .coding import MAX_CELL_INDEX, LatticeMultivector, _padded
+from .coding import LatticeMultivector, _as_cell, _padded
 from .colorwheel import RgbColor, hue_to_rgb, nu_of_x, rgb_to_hex
 
 # blade word shown by each element class
@@ -85,7 +86,8 @@ class CubeStyle:
     """Knobs for cube drawing; defaults match the reference figures.
 
     Lengths are SVG user units.  The background field is a hue, kept at
-    the hue of zero so unset coefficients blend into the backdrop.
+    the hue of zero so unset coefficients blend into the backdrop.  Each
+    numeric field is read by the real-number rule and stored as a float.
     """
 
     mode: str = "redundant"
@@ -101,17 +103,20 @@ class CubeStyle:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        for name in (f.name for f in fields(self) if f.name != "mode"):
-            _check_real(getattr(self, name), name)
-        if not 0.0 <= float(self.background) < 1.0:
+        for name in _STYLE_NUMBERS:
+            object.__setattr__(self, name, _check_real(getattr(self, name), name))
+        if not 0.0 <= self.background < 1.0:
             raise ValueError(f"background hue must lie in [0, 1), got {self.background!r}")
-        if not 0.0 < float(self.foreshortening) <= 1.0:
+        if not 0.0 < self.foreshortening <= 1.0:
             raise ValueError("foreshortening must lie in (0, 1]")
-        if float(self.edge) <= 0.0 or float(self.stroke_width) <= 0.0 or float(self.corner_radius) <= 0.0:
+        if self.edge <= 0.0 or self.stroke_width <= 0.0 or self.corner_radius <= 0.0:
             raise ValueError("edge, stroke width and corner radius must be positive")
         for name in ("wall_opacity", "interior_opacity"):
-            if not 0.0 <= float(getattr(self, name)) <= 1.0:
+            if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
+
+
+_STYLE_NUMBERS = tuple(f.name for f in fields(CubeStyle) if f.name != "mode")
 
 
 @dataclass(frozen=True)
@@ -277,15 +282,20 @@ def _cube_table(style: CubeStyle) -> tuple:
                  for prim, field in [_KINDS[kind]])
 
 
-def _cubes(block: np.ndarray, offsets: np.ndarray, style: CubeStyle, deformation) -> Scene:
+def _cubes(block: np.ndarray, offsets: np.ndarray, style: CubeStyle | None, deformation) -> Scene:
     """One cube per row of the (n, 8) coefficient ``block``, offset by the
-    matching row of ``offsets`` (n, 3): every scene's one builder.
+    matching row of ``offsets`` (n, 3), in ``style`` (None for the
+    default): every scene's one builder.
 
     Cubes are painted far to near by receding offset, ties in row order.
     Each cube's corners are offset, deformed (one call per corner, cube
     after cube) and projected obliquely, x right, z up and y receding,
     in the float order of e * (x + fx * y) and (-e) * (z + fy * y).
     """
+    if style is None:
+        style = CubeStyle()
+    elif not isinstance(style, CubeStyle):
+        raise TypeError(f"style must be a CubeStyle, got {type(style).__name__}")
     order = np.argsort(-offsets[:, 1], kind="stable")
     rows = block[order].tolist()
     # one color per distinct coefficient; 0.0 and -0.0 share the hue 3/4
@@ -302,9 +312,9 @@ def _cubes(block: np.ndarray, offsets: np.ndarray, style: CubeStyle, deformation
             raise ValueError("deformation must return a 3-point")
         world = points.reshape(world.shape)
     theta = math.radians(style.angle_deg)
-    fx = float(style.foreshortening) * math.cos(theta)
-    fy = float(style.foreshortening) * math.sin(theta)
-    e = float(style.edge)
+    fx = style.foreshortening * math.cos(theta)
+    fy = style.foreshortening * math.sin(theta)
+    e = style.edge
     x, y, z = world[..., 0], world[..., 1], world[..., 2]
     with _quiet_float_errors():
         corners = np.stack([e * (x + fx * y), -e * (z + fy * y)], axis=-1)
@@ -319,51 +329,30 @@ def cube_scene(mv: Multivector, style: CubeStyle | None = None) -> Scene:
         raise TypeError("expected a Multivector")
     if mv.dim != 3:
         raise ValueError(f"cube rendering needs dimension 3, got {mv.dim}")
-    style = style if style is not None else CubeStyle()
     return _cubes(mv.coeffs[None, :], np.zeros((1, 3)), style, None)
 
 
 def grid_placement(cells, spacing: float = 1.0) -> dict:
     """Unit-grid placement: cell (i, j, k) sits at (i, j, k) * spacing.
 
-    Shorter cell indices pad with zeros, so 2-index lattices lie in the
-    x-y plane.  A bare integer cell k is the one-index cell (k,), as in
-    a lattice.  Indices, such as (1.5, 2), and ``spacing`` may be any
-    finite reals: integers multiply exactly as ints, other reals as floats,
-    and a float offset past the float range is a ValueError naming the cell.
+    Cells are read as a lattice reads them, a bare integer k being the
+    cell (k,), and shorter cells pad with zeros, so 2-index lattices lie
+    in the x-y plane.  ``spacing`` is any finite real, read as a float,
+    and an offset past the float range is a ValueError naming the cell.
     """
     try:
-        _check_real(spacing, "spacing")
+        spacing = _check_real(spacing, "spacing")
     except ValueError:
         raise ValueError(f"spacing must be a finite real number, got {spacing!r}") from None
-    # as Python numbers, so that no product below wraps around or warns as numpy's may
-    spacing = int(spacing) if _is_int(spacing) else float(spacing)
     out = {}
-    for given in cells:
-        # The common case, checked by exact type: plain ints that a lattice
-        # can hold pass every check below and multiply as given.
-        i, j, k = _padded(given) if type(given) is tuple and 0 < len(given) <= 3 else (None,) * 3
-        if type(i) is type(j) is type(k) is int and max(map(abs, (i, j, k))) <= MAX_CELL_INDEX:
-            cell = given
-        else:
-            cell = given if type(given) is tuple else (int(given),) if _is_int(given) else given
-            try:
-                cell = tuple(cell)
-            except TypeError:
-                raise ValueError(f"cell index must be an integer or a tuple, got {given!r}") from None
-            if not 1 <= len(cell) <= 3:
-                raise ValueError(f"cell index must hold 1 to 3 values, got {cell!r}")
-            try:
-                for p in cell:
-                    _check_real(p, "cell index")
-            except ValueError:
-                what = "finite numbers" if all(map(_is_real, cell)) else "numbers"
-                raise ValueError(f"cell index must hold {what}, got {given!r}") from None
-            i, j, k = [int(p) if _is_int(p) else float(p) for p in _padded(cell)]
-        offset = out[cell] = (i * spacing, j * spacing, k * spacing)
-        if math.inf in map(abs, offset):  # finite floats whose product overflows
-            raise ValueError(f"cell index {given!r} at spacing {spacing!r} "
-                             f"gives a non-finite offset {offset!r}")
+    for cell in map(_as_cell, cells):
+        i, j, k = _padded(cell)
+        out[cell] = (i * spacing, j * spacing, k * spacing)
+    # finite floats whose product overflows: one pass, then a search for the first cell
+    if math.inf in map(abs, chain.from_iterable(out.values())):
+        cell, offset = next((c, off) for c, off in out.items() if math.inf in map(abs, off))
+        raise ValueError(f"cell index {cell!r} at spacing {spacing!r} "
+                         f"gives a non-finite offset {offset!r}")
     return out
 
 
@@ -399,10 +388,11 @@ def lattice_scene(
     """
     if not isinstance(lat, LatticeMultivector):
         raise TypeError("expected a LatticeMultivector")
-    style = style if style is not None else CubeStyle()
     cells = lat.cell_indices()
     if placement is None:
         placement = grid_placement(cells)
+    elif not isinstance(placement, Mapping):
+        raise TypeError(f"placement must be a mapping, got {type(placement).__name__}")
     offsets = []
     for cell in cells:
         if cell not in placement:

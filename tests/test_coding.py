@@ -27,6 +27,7 @@ from combcube.coding import (
     multivector_to_json,
 )
 from combcube.gates import Circuit, Gate, apply_circuit, apply_circuit_lattice, teleport_network
+from combcube.render import cube_scene, lattice_scene
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -561,10 +562,58 @@ def test_writers_reject_the_wrong_type(call, what):
     (lambda: encode([("000", 1.0)], 3), "table must be a mapping, got list"),
     (lambda: encode(5, 3), "table must be a mapping, got int"),
     (lambda: LatticeMultivector([1, 2]), "cells must be a mapping, got list"),
+    # the scene arguments of the wrong type are named the same way
+    (lambda: cube_scene(Multivector.zero(3), "redundant"), "style must be a CubeStyle, got str"),
+    (lambda: lattice_scene(LatticeMultivector(), {}), "style must be a CubeStyle, got dict"),
+    (lambda: lattice_scene(LatticeMultivector({(0, 0): Multivector.zero(3)}), placement=[(0, 0)]),
+     "placement must be a mapping, got list"),
 ])
 def test_a_table_or_cells_that_is_not_a_mapping_is_named(call, message):
     with pytest.raises(TypeError, match=f"^{message}$"):
         call()
+
+
+# -- the readers on arbitrary input -------------------------------------------
+
+# ASCII integers joined by commas, as a lattice file spells a cell
+_CELL_KEY = re.compile(r"-?[0-9]+(,-?[0-9]+){0,2}")
+_KEY_TEXT = st.one_of(
+    st.text(max_size=12),
+    st.text(alphabet="-+0123456789, _\u0661", max_size=16),  # near misses
+    st.lists(st.integers(-2 * MAX_CELL_INDEX, 2 * MAX_CELL_INDEX).map(str),
+             min_size=1, max_size=4).map(",".join),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_KEY_TEXT)
+def test_a_cell_key_is_read_exactly_when_it_spells_integers_in_range(key):
+    text = json.dumps({key: {}})
+    parts = key.split(",")
+    if _CELL_KEY.fullmatch(key) and all(abs(int(p)) <= MAX_CELL_INDEX for p in parts):
+        assert lattice_from_json(text).cell_indices() == (tuple(int(p) for p in parts),)
+    else:
+        with pytest.raises(ValueError):
+            lattice_from_json(text)
+
+
+_JSON_KEYS = st.one_of(st.text(max_size=4), st.sampled_from(["000", "1", "01", "0,0", "-1,2,3"]))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers(-10**400, 10**400) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_JSON_KEYS, inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_VALUES)
+def test_a_json_value_is_read_or_refused_with_a_value_error(value):
+    text = json.dumps(value)  # nan and +-inf as NaN and Infinity
+    for read in (multivector_from_json, lattice_from_json):
+        try:
+            read(text)
+        except ValueError:
+            pass
 
 
 def test_readers_reject_a_table_of_another_dimension_and_a_lattice_that_is_a_list():

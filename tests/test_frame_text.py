@@ -1,11 +1,11 @@
 """The lattice frame's text paths against their former loops.
 
 ``emit_svg`` fills one row template per call and ``lattice_to_json``
-formats each distinct coefficient once per call; ``grid_placement`` and
-``lattice_scene`` recognise plain ints and float offsets by exact type
-before their full checks.  The former per-row emitter, the former
-per-value lattice writer and the former all-checks placement are kept
-here as the bitwise references.
+formats each distinct coefficient once per call; ``lattice_scene``
+recognises float offsets by exact type before its full checks, and
+``grid_placement`` reads its cells with the lattice's checks.  The
+former per-row emitter and the former per-value lattice writer are kept
+here as the bitwise references, and the lattice as the cell reference.
 """
 
 import math
@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from combcube import colorwheel, render
-from combcube.algebra import Multivector, _check_real, _is_int, _is_real
+from combcube.algebra import Multivector
 from combcube.coding import LatticeMultivector, _key_words, _padded, lattice_from_json, lattice_to_json
 from combcube.colorwheel import hue_to_rgb, rgb_to_hex
 from combcube.render import (
@@ -101,36 +101,6 @@ def _ref_lattice_to_json(lat):
                           for key, word in _key_words(3).items())
         blocks.append(f'  "{",".join(map(str, cell))}": {{\n{body}\n  }}')
     return "{\n" + ",\n".join(blocks) + "\n}\n"
-
-
-def _ref_grid_placement(cells, spacing=1.0):
-    """The former placement: every cell through every check."""
-    try:
-        _check_real(spacing, "spacing")
-    except ValueError:
-        raise ValueError(f"spacing must be a finite real number, got {spacing!r}") from None
-    spacing = int(spacing) if _is_int(spacing) else float(spacing)
-    out = {}
-    for given in cells:
-        cell = given if type(given) is tuple else (int(given),) if _is_int(given) else given
-        try:
-            cell = tuple(cell)
-        except TypeError:
-            raise ValueError(f"cell index must be an integer or a tuple, got {given!r}") from None
-        if not 1 <= len(cell) <= 3:
-            raise ValueError(f"cell index must hold 1 to 3 values, got {cell!r}")
-        try:
-            for p in cell:
-                _check_real(p, "cell index")
-        except ValueError:
-            what = "finite numbers" if all(map(_is_real, cell)) else "numbers"
-            raise ValueError(f"cell index must hold {what}, got {given!r}") from None
-        i, j, k = [int(p) if _is_int(p) else float(p) for p in _padded(cell)]
-        offset = out[cell] = (i * spacing, j * spacing, k * spacing)
-        if math.inf in map(abs, offset):
-            raise ValueError(f"cell index {given!r} at spacing {spacing!r} "
-                             f"gives a non-finite offset {offset!r}")
-    return out
 
 
 # -- emit_svg ----------------------------------------------------------------
@@ -272,13 +242,15 @@ def test_lattice_blocks_write_and_draw_as_the_former_loops(entries):
 # -- grid_placement and offsets -----------------------------------------------
 
 
-def _outcome(f, *args):
-    """A call's result with the type of every number in it, or its error message."""
+def _read_cell(f, cell):
+    """The cell that ``f`` reads from ``cell``, with the type of each index, or
+    its error message."""
     try:
-        out = f(*args)
+        out = f(cell)
     except ValueError as exc:
         return "error", str(exc)
-    return [(cell, tuple(map(type, cell)), off, tuple(map(type, off))) for cell, off in out.items()]
+    (got,) = out
+    return got, tuple(map(type, got))
 
 
 _PLACEMENTS = [
@@ -303,7 +275,24 @@ _PLACEMENTS = [
 
 @pytest.mark.parametrize("cells, spacing", _PLACEMENTS)
 def test_grid_placement_matches_the_full_checks(cells, spacing):
-    assert _outcome(grid_placement, cells, spacing) == _outcome(_ref_grid_placement, cells, spacing)
+    """A cell is taken or refused as a lattice takes or refuses it, with
+    its message; a taken cell sits at its float indices times the spacing."""
+    for cell in cells:
+        assert (_read_cell(lambda c: grid_placement([c]), cell)
+                == _read_cell(lambda c: LatticeMultivector({c: Multivector.zero(3)}).cell_indices(),
+                              cell))
+    try:
+        lat = LatticeMultivector({cell: Multivector.zero(3) for cell in cells})
+    except ValueError:
+        return
+    want = {cell: tuple(float(p) * float(spacing) for p in _padded(cell))
+            for cell in lat.cell_indices()}
+    if math.inf in map(abs, [p for off in want.values() for p in off]):
+        with pytest.raises(ValueError, match="gives a non-finite offset"):
+            grid_placement(cells, spacing)
+    else:
+        got = grid_placement(cells, spacing)
+        assert got == want and {type(p) for off in got.values() for p in off} == {float}
 
 
 def test_grid_placement_names_the_overflowing_cell_on_either_path():

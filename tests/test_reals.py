@@ -15,12 +15,11 @@ deformation results.  So a value either acts exactly as
 further on); no TypeError or OverflowError escapes, except that a scalar
 operand that is not a real number is a TypeError, as Python raises for
 any operand a type does not support.
-The grid placement is the one exception to "as ``float(value)``": an
-integer spacing or index multiplies exactly, as a Python int.
 """
 
 import math
 import re
+from dataclasses import fields
 from decimal import Decimal
 from fractions import Fraction
 
@@ -82,13 +81,6 @@ def _plain_float(v):
         return math.inf if v > 0 else -math.inf
 
 
-def _plain_number(v):
-    """As ``_plain_float``, but an integer stays an exact Python int."""
-    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
-        return int(v)
-    return _plain_float(v)
-
-
 def _drawn(scene: Scene) -> tuple:
     """A scene's arrays and its SVG text: everything that is drawn."""
     return scene._corners.tobytes(), emit_svg(scene, 400, 300)
@@ -124,9 +116,7 @@ _PARAMETERS = {
                            _plain_float)
        for kind, field in (("Polygon", "opacity"), ("Segment", "width"), ("Disc", "radius"))},
     "grid_placement.spacing": (lambda v: grid_placement([(1, 2), (3,), (-2, 0, 1)], v),
-                               "spacing", _plain_number),
-    "grid_placement.cell": (lambda v: list(grid_placement([(v, 1), (0, v, 2)], 3).values()),
-                            "cell index", _plain_number),
+                               "spacing", _plain_float),
     "lattice_scene.offset": (lambda v: _lattice(placement={(0, 0): (v, 0.0),
                                                            (1, 0): (1.0, 0.5, v)}),
                              "offset|cube corners must be finite", _plain_float),
@@ -175,6 +165,7 @@ def _outcome(call, v) -> tuple:
 @example(v=math.nan)
 @example(v=True)
 @example(v="0.5")
+@example(v=Fraction(1, 2))
 def test_a_numeric_parameter_acts_as_its_float_or_names_itself(name, v):
     call, field, reference = _PARAMETERS[name]
     got = _outcome(call, v)
@@ -219,10 +210,11 @@ _PROBES = {
                                     "stroke_width must be a real number, got '3'"),
     "CubeStyle(wall_opacity='0.5')": (lambda: CubeStyle(wall_opacity="0.5"),
                                       "wall_opacity must be a real number, got '0.5'"),
+    # a cell is read as a lattice reads it: integers only
     "grid_placement nan cell": (lambda: grid_placement([(math.nan, 0)]),
-                                "cell index must hold finite numbers, got (nan, 0)"),
+                                "cell index must hold 1 to 3 integers, got (nan, 0)"),
     "grid_placement bool cell": (lambda: grid_placement([(True, 0)]),
-                                 "cell index must hold numbers, got (True, 0)"),
+                                 "cell index must hold 1 to 3 integers, got (True, 0)"),
     "lattice_scene offset '12'": (lambda: lattice_scene(_LAT, placement={(0, 0): "12"}),
                                   "offset for cell (0, 0) must hold real numbers, got '12'"),
     "lattice_scene offset 5": (lambda: lattice_scene(_LAT, placement={(0, 0): 5}),
@@ -323,12 +315,11 @@ def test_emit_svg_rejects_a_size_past_the_float_range_by_name():
         emit_svg(scene, 5, BIG)
 
 
-def test_grid_placement_multiplies_numpy_integers_exactly():
-    # numpy's int64 arithmetic would wrap around (and warn) here
-    assert grid_placement([(3,)], np.int64(2**62)) == {(3,): (3 * 2**62, 0, 0)}
-    assert grid_placement([(np.int64(2**62), 1)], 2) == {(np.int64(2**62), 1): (2**63, 2, 0)}
-    # and numpy floats as Python floats, not in float32
-    assert grid_placement([(3,)], np.float32(0.3)) == {(3,): (3 * float(np.float32(0.3)), 0.0, 0.0)}
+def test_a_cube_style_stores_each_number_as_its_float():
+    style = CubeStyle(edge=np.int64(60), stroke_width=Fraction(3, 2), wall_opacity=np.float32(0.5))
+    assert [type(getattr(style, f.name)) for f in fields(style) if f.name != "mode"] == [float] * 8
+    assert (style.edge, style.stroke_width, style.wall_opacity) == (60.0, 1.5, 0.5)
+    assert _cube(stroke_width=Fraction(3, 2)) == _cube(stroke_width=1.5)
 
 
 def test_the_rule_helpers():
@@ -412,13 +403,13 @@ def test_numpy_and_fraction_scalars_give_the_bytes_of_their_float(s):
 
 
 @pytest.mark.parametrize("cells, spacing, given", [
-    ([(1e308,)], 10.0, "(1e+308,)"),
-    ([(0, 0), (2, -1e200)], 1e200, "(2, -1e+200)"),
-    ([5], 1e308, "5"),
-    ([(0.0, 0, 10**300)], 1e10, "(0.0, 0, " + str(10**300) + ")"),
+    ([(2**31 - 1,)], 1e300, "(2147483647,)"),
+    ([(0, 0), (2, -(2**31 - 1))], 1e300, "(2, -2147483647)"),
+    ([5], 1e308, "(5,)"),
+    ([(0, 0, np.int64(2**31 - 1))], 1e300, "(0, 0, 2147483647)"),
 ])
 def test_grid_placement_names_a_cell_whose_offset_overflows(cells, spacing, given):
+    # the largest index times a spacing near the float range still overflows;
+    # the message names the cell as read, a bare int or numpy int as a tuple of ints
     with pytest.raises(ValueError, match=f"^cell index {re.escape(given)} at spacing "):
         grid_placement(cells, spacing)
-    # exact ints never overflow
-    assert grid_placement([(10**300,)], 10**300) == {(10**300,): (10**600, 0, 0)}

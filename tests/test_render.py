@@ -244,22 +244,17 @@ def test_grid_placement():
         (1, 3): (1.0, 3.0, 0.0),
     }
     assert grid_placement([(1, 1, 1)], spacing=2.5)[(1, 1, 1)] == (2.5, 2.5, 2.5)
-    assert grid_placement([(1.5, 2)]) == {(1.5, 2): (1.5, 2.0, 0.0)}
 
 
 @pytest.mark.parametrize("cell", [(1, 2, 3, 4), ()])
 def test_grid_placement_names_a_cell_of_the_wrong_length(cell):
-    message = f"^cell index must hold 1 to 3 values, got {re.escape(repr(cell))}$"
+    message = f"^cell index must hold 1 to 3 integers, got {re.escape(repr(cell))}$"
     with pytest.raises(ValueError, match=message):
         grid_placement([(0, 0), cell])
 
 
 def test_grid_placement_takes_a_bare_integer_cell_as_a_lattice_does():
-    assert grid_placement([5, np.int64(-2), (1.5, 2)]) == {
-        (5,): (5.0, 0.0, 0.0),
-        (-2,): (-2.0, 0.0, 0.0),
-        (1.5, 2): (1.5, 2.0, 0.0),
-    }
+    assert grid_placement([5, np.int64(-2)]) == {(5,): (5.0, 0.0, 0.0), (-2,): (-2.0, 0.0, 0.0)}
     assert LatticeMultivector({5: Multivector.zero(3)}).cell_indices() == ((5,),)
     for cell in (1.5, None, True):
         message = f"^cell index must be an integer or a tuple, got {re.escape(repr(cell))}$"
@@ -269,11 +264,10 @@ def test_grid_placement_takes_a_bare_integer_cell_as_a_lattice_does():
 
 @pytest.mark.parametrize("cell", ["ab", (None, 1), (0, "1", 2), ("a",), (1j,)])
 def test_grid_placement_names_a_cell_of_non_numbers(cell):
-    message = f"^cell index must hold numbers, got {re.escape(repr(cell))}$"
-    for spacing in (1.0, 2):  # an int spacing would repeat a string index
+    message = f"^cell index must hold 1 to 3 integers, got {re.escape(repr(cell))}$"
+    for spacing in (1.0, 2):
         with pytest.raises(ValueError, match=message):
             grid_placement([(0,), cell], spacing)
-    assert grid_placement([(np.float64(0.5), np.int32(1))]) == {(0.5, 1): (0.5, 1.0, 0.0)}
 
 
 @pytest.mark.parametrize("spacing", ["x", math.nan, math.inf, -math.inf, True, None, 1j, 10**400])
@@ -285,8 +279,11 @@ def test_grid_placement_rejects_a_spacing_that_is_not_a_finite_real(spacing):
 
 
 def test_grid_placement_takes_an_int_spacing():
-    assert grid_placement([(1, 2), 3], spacing=2) == {(1, 2): (2, 4, 0), (3,): (6, 0, 0)}
-    assert grid_placement([(1, 2)], spacing=np.float32(0.5)) == {(1, 2): (0.5, 1.0, 0.0)}
+    # as its float, like every other real parameter
+    for spacing, want in ((2, {(1, 2): (2.0, 4.0, 0.0), (3,): (6.0, 0.0, 0.0)}),
+                          (np.float32(0.5), {(1, 2): (0.5, 1.0, 0.0), (3,): (1.5, 0.0, 0.0)})):
+        got = grid_placement([(1, 2), 3], spacing=spacing)
+        assert got == want and {type(p) for off in got.values() for p in off} == {float}
     lat = LatticeMultivector({(1, 2): _example_mv(), (0, 3): _example_mv()})
     cells = lat.cell_indices()
     assert (lattice_scene(lat, placement=grid_placement(cells, 3))
