@@ -158,10 +158,11 @@ def _real_vector(values, dim, field: str, where: str = "") -> tuple[np.ndarray, 
 def blade_product(m1: int, m2: int, dim: int) -> tuple[int, int]:
     """Multiply two basis blades given as bit words.
 
-    Returns ``(word, sign)`` with ``word = m1 ^ m2``.  The sign counts,
-    for each generator of ``m2``, the generators of ``m1`` sitting
-    strictly above it: each such pair costs one anticommuting swap.
-    Repeated generators annihilate with a +1 square.
+    Returns ``(word, sign)`` with ``word = m1 ^ m2`` and the sign
+    (-1)**popcount(m2 & P(m1)) read from the product's word tables: the
+    exponent counts, for each generator of ``m2``, the generators of
+    ``m1`` strictly above it, one anticommuting swap each.  Repeated
+    generators annihilate with a +1 square.
     """
     _check_dim(dim)
     _check_int(m1, "blade word")
@@ -170,8 +171,8 @@ def blade_product(m1: int, m2: int, dim: int) -> tuple[int, int]:
     size = 1 << dim
     if not (0 <= m1 < size and 0 <= m2 < size):
         raise ValueError(f"blade word out of range for Cl({dim}): {m1}, {m2}")
-    swaps = sum(((m1 >> shift) & m2).bit_count() for shift in range(1, dim))
-    return m1 ^ m2, (-1 if swaps & 1 else 1)
+    _, parity_sign, masks = _word_tables(dim)
+    return m1 ^ m2, int(parity_sign[masks[m1] & m2])
 
 
 class Multivector:

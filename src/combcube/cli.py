@@ -61,6 +61,7 @@ from .statevector import (
 )
 
 _MARGIN = 20.0
+_MAX_FITTED_SIDE = 2**31 - 1  # the largest side a fitted viewport may have
 _MAX_TRIALS = 1_000_000  # 1,000 trials take about 1.5 s, so this is about half an hour
 
 
@@ -143,17 +144,18 @@ def _style_from_args(args) -> CubeStyle:
 
 
 def _viewport(scene, args) -> tuple[int, int]:
+    """--width and --height, or else the scene's box plus margins (200 if
+    empty); a fitted side past _MAX_FITTED_SIDE units is a ValueError."""
     bbox = scene_bbox(scene)
-    if bbox is None:
-        auto_w, auto_h = 200, 200
-    else:
-        x0, y0, x1, y1 = bbox
-        auto_w = max(1, math.ceil(x1 - x0 + 2 * _MARGIN))
-        auto_h = max(1, math.ceil(y1 - y0 + 2 * _MARGIN))
-    return (
-        auto_w if args.width is None else args.width,
-        auto_h if args.height is None else args.height,
-    )
+    sides = []
+    for name, side, lo, hi in (("width", args.width, 0, 2), ("height", args.height, 1, 3)):
+        if side is None:
+            side = 200 if bbox is None else max(1, math.ceil(bbox[hi] - bbox[lo] + 2 * _MARGIN))
+            if side > _MAX_FITTED_SIDE:
+                raise ValueError(f"the fitted viewport {name} {side:.6g} is past "
+                                 f"{_MAX_FITTED_SIDE} units; pass --width and --height")
+        sides.append(side)
+    return sides[0], sides[1]
 
 
 def _print_table(mv: Multivector) -> None:
@@ -195,12 +197,16 @@ class _StageClock:
             print(f"{name:<10} {count}", file=sys.stderr)
 
 
-def _write_svg(args, clock: _StageClock, scene, cells: int) -> int:
-    """Emit and write a scene just built; with --timings, report to stderr.
-
-    The clock's scene stage ends on entry, so it covers everything after
-    parsing: placement, deformation and the scene itself.
-    """
+def _render(args, parse, draw) -> int:
+    """Read, parse, draw with ``draw(parsed, style)``, emit and write; the
+    style is built after parsing, so a bad file is reported before a bad
+    style flag.  --timings reports each stage and the counts to stderr."""
+    clock = _StageClock()
+    text = args.input.read_text()
+    clock.lap("read")
+    parsed = parse(text)
+    clock.lap("parse")
+    scene = draw(parsed, _style_from_args(args))
     clock.lap("scene")
     svg = emit_svg(scene, *_viewport(scene, args))
     clock.lap("emit")
@@ -208,28 +214,19 @@ def _write_svg(args, clock: _StageClock, scene, cells: int) -> int:
     clock.lap("write")
     print(f"wrote {args.output}")
     if args.timings:
-        clock.report(cells=cells, primitives=scene._primitives, bytes=len(svg.encode()))
+        clock.report(cells=len(scene._corners), primitives=scene._primitives,
+                     bytes=len(svg.encode()))
     return 0
 
 
 def _cmd_render(args) -> int:
-    clock = _StageClock()
-    text = args.input.read_text()
-    clock.lap("read")
-    mv = multivector_from_json(text)
-    clock.lap("parse")
-    return _write_svg(args, clock, cube_scene(mv, _style_from_args(args)), 1)
+    return _render(args, multivector_from_json, cube_scene)
 
 
 def _cmd_lattice_render(args) -> int:
-    clock = _StageClock()
-    text = args.input.read_text()
-    clock.lap("read")
-    lat = lattice_from_json(text)
-    clock.lap("parse")
     deformation = sine_warp() if args.deformation == "sine-warp" else None
-    scene = lattice_scene(lat, _style_from_args(args), deformation=deformation)
-    return _write_svg(args, clock, scene, len(lat))
+    return _render(args, lattice_from_json,
+                   lambda lat, style: lattice_scene(lat, style, deformation=deformation))
 
 
 def _cmd_color(args) -> int:
@@ -265,10 +262,11 @@ def _random_circuit(rng, length: int):
     return gates
 
 
-# Each gate suite returns (max deviation, gate applications in both engines).
+# Each suite takes (rng, trials) and returns the max deviation of each of
+# its checks by name, and its gate applications in both engines.
 
 
-def _suite_basis_agreement() -> tuple[float, int]:
+def _suite_basis_agreement(rng, trials: int) -> tuple[dict[str, float], int]:
     dev = 0.0
     gates = _gate_set()
     for gate in gates:
@@ -276,10 +274,10 @@ def _suite_basis_agreement() -> tuple[float, int]:
             mv = apply_gate(Multivector.blade(word, 3), gate)
             sv = sv_apply_gate(StateVector.basis(word, 3), gate)
             dev = max(dev, equivalence_check(mv, sv)[1])
-    return dev, 2 * 8 * len(gates)
+    return {"gate action on basis combs": dev}, 2 * 8 * len(gates)
 
 
-def _suite_random_circuits(rng, trials: int) -> tuple[float, int]:
+def _suite_random_circuits(rng, trials: int) -> tuple[dict[str, float], int]:
     dev = 0.0
     applied = 0
     for _ in range(trials):
@@ -289,10 +287,10 @@ def _suite_random_circuits(rng, trials: int) -> tuple[float, int]:
         sv = sv_apply_circuit(circuit, StateVector(coeffs, 3))
         dev = max(dev, equivalence_check(mv, sv)[1])
         applied += 2 * len(circuit)
-    return dev, applied
+    return {"random circuits vs simulator": dev}, applied
 
 
-def _suite_teleport(rng, trials: int) -> tuple[float, int]:
+def _suite_teleport(rng, trials: int) -> tuple[dict[str, float], int]:
     dev = 0.0
     expected = np.zeros(8)
     for _ in range(trials):
@@ -304,10 +302,10 @@ def _suite_teleport(rng, trials: int) -> tuple[float, int]:
         expected[0b100] = beta
         dev = max(dev, float(np.max(np.abs(out.coeffs - expected))))
         dev = max(dev, equivalence_check(out, sv_teleport(alpha, beta))[1])
-    return dev, 2 * trials * len(teleport_network())
+    return {"teleportation identity": dev}, 2 * trials * len(teleport_network())
 
 
-def _suite_algebra(rng, trials: int) -> tuple[float, float]:
+def _suite_algebra(rng, trials: int) -> tuple[dict[str, float], int]:
     exact_dev = 0.0
     for k in range(1, 4):
         bk = Multivector.basis_vector(k, 3)
@@ -326,10 +324,10 @@ def _suite_algebra(rng, trials: int) -> tuple[float, float]:
         assoc_dev = max(
             assoc_dev, float(np.max(np.abs(((a * b) * c - a * (b * c)).coeffs)))
         )
-    return exact_dev, assoc_dev
+    return {"generator relations": exact_dev, "product associativity": assoc_dev}, 0
 
 
-def _suite_involutions(rng, trials: int) -> tuple[float, int]:
+def _suite_involutions(rng, trials: int) -> tuple[dict[str, float], int]:
     dev = 0.0
     gates = _gate_set()
     rounds = max(1, trials // 10)
@@ -340,10 +338,10 @@ def _suite_involutions(rng, trials: int) -> tuple[float, int]:
             twice = apply_gate(once, gate)
             dev = max(dev, float(np.max(np.abs(twice.coeffs - state.coeffs))))
             dev = max(dev, abs(once.norm() - state.norm()))
-    return dev, 2 * rounds * len(gates)
+    return {"gate involutions and norms": dev}, 2 * rounds * len(gates)
 
 
-def _suite_colorwheel() -> tuple[float, float]:
+def _suite_colorwheel(rng, trials: int) -> tuple[dict[str, float], int]:
     residual = 0.0
     for x in np.linspace(-1000.0, 1000.0, 100001):
         theta = math.tau * nu_of_x(float(x))
@@ -355,7 +353,20 @@ def _suite_colorwheel() -> tuple[float, float]:
         for sign in (1.0, -1.0):
             x = sign * 10.0**k
             roundtrip = max(roundtrip, abs(x_of_nu(nu_of_x(x)) - x) / abs(x))
-    return residual, roundtrip
+    return {"color map residual": residual, "color map roundtrip (rel)": roundtrip}, 0
+
+
+# The tolerance of each check, in print order.
+_TOLERANCES = {
+    "gate action on basis combs": 0.0,
+    "random circuits vs simulator": 1e-12,
+    "teleportation identity": 1e-12,
+    "generator relations": 0.0,
+    "product associativity": 1e-10,
+    "gate involutions and norms": 1e-12,
+    "color map residual": 1e-12,
+    "color map roundtrip (rel)": 1e-9,
+}
 
 
 def _cmd_verify(args) -> int:
@@ -367,36 +378,22 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--seed must be at least 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     clock = _StageClock()
-    exact_dev, assoc_dev = _suite_algebra(rng, args.trials)
-    clock.lap("algebra")
-    residual, roundtrip = _suite_colorwheel()
-    clock.lap("colorwheel")
-    basis_dev, basis_gates = _suite_basis_agreement()
-    clock.lap("basis")
-    circuit_dev, circuit_gates = _suite_random_circuits(rng, args.trials)
-    clock.lap("circuits")
-    teleport_dev, teleport_gates = _suite_teleport(rng, args.trials)
-    clock.lap("teleport")
-    involution_dev, involution_gates = _suite_involutions(rng, args.trials)
-    clock.lap("involution")
-    checks = [
-        ("gate action on basis combs", basis_dev, 0.0),
-        ("random circuits vs simulator", circuit_dev, 1e-12),
-        ("teleportation identity", teleport_dev, 1e-12),
-        ("generator relations", exact_dev, 0.0),
-        ("product associativity", assoc_dev, 1e-10),
-        ("gate involutions and norms", involution_dev, 1e-12),
-        ("color map residual", residual, 1e-12),
-        ("color map roundtrip (rel)", roundtrip, 1e-9),
-    ]
-    all_ok = True
-    for name, dev, tol in checks:
-        ok = dev <= tol
-        all_ok = all_ok and ok
-        print(f"{name:<32} max dev {dev:9.3e}  {'PASS' if ok else 'FAIL'}")
+    devs, gates = {}, 0
+    # the suites run in this order, which fixes their rng draws
+    for stage, suite in (("algebra", _suite_algebra), ("colorwheel", _suite_colorwheel),
+                         ("basis", _suite_basis_agreement), ("circuits", _suite_random_circuits),
+                         ("teleport", _suite_teleport), ("involution", _suite_involutions)):
+        suite_devs, applied = suite(rng, args.trials)
+        devs.update(suite_devs)
+        gates += applied
+        clock.lap(stage)
+    passed = {name: devs[name] <= tol for name, tol in _TOLERANCES.items()}
+    for name, ok in passed.items():
+        print(f"{name:<32} max dev {devs[name]:9.3e}  {'PASS' if ok else 'FAIL'}")
+    all_ok = all(passed.values())
     print(f"overall: {'PASS' if all_ok else 'FAIL'}")
     if args.timings:
-        clock.report(gates=basis_gates + circuit_gates + teleport_gates + involution_gates)
+        clock.report(gates=gates)
     return 0 if all_ok else 1
 
 

@@ -101,7 +101,7 @@ class CubeStyle:
     interior_opacity: float = 0.35
 
     def __post_init__(self):
-        if self.mode not in _MODES:
+        if not isinstance(self.mode, str) or self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         for name in _STYLE_NUMBERS:
             object.__setattr__(self, name, _check_real(getattr(self, name), name))
@@ -344,6 +344,11 @@ def grid_placement(cells, spacing: float = 1.0) -> dict:
         spacing = _check_real(spacing, "spacing")
     except ValueError:
         raise ValueError(f"spacing must be a finite real number, got {spacing!r}") from None
+    try:
+        cells = iter(cells)
+    except TypeError:
+        raise TypeError("cells must be an iterable of cell indices, "
+                        f"got {type(cells).__name__}") from None
     out = {}
     for cell in map(_as_cell, cells):
         i, j, k = _padded(cell)
@@ -393,6 +398,8 @@ def lattice_scene(
         placement = grid_placement(cells)
     elif not isinstance(placement, Mapping):
         raise TypeError(f"placement must be a mapping, got {type(placement).__name__}")
+    if deformation is not None and not callable(deformation):
+        raise TypeError(f"deformation must be callable, got {type(deformation).__name__}")
     offsets = []
     for cell in cells:
         if cell not in placement:

@@ -415,6 +415,37 @@ def test_lattice_render_rejects_a_scene_extent_past_the_float_range(tmp_path, ca
     assert not dst.exists()
 
 
+@pytest.mark.parametrize("command, table, flags, side", [
+    ("lattice-render", {"0,0": {"000": 1.0}}, ["--edge", "1e308"], "width"),
+    ("lattice-render", {"0,0": {"000": 1.0}}, ["--edge", "1e308", "--width", "100"], "height"),
+    ("render", {"000": 1.0}, ["--edge", "1e308", "--height", "100"], "width"),
+], ids=["lattice", "lattice-height", "render-width"])
+def test_a_fitted_viewport_side_past_2_31_units_is_a_usage_error(tmp_path, capsys, command,
+                                                                table, flags, side):
+    src = tmp_path / "huge.json"
+    src.write_text(json.dumps(table))
+    dst = tmp_path / "huge.svg"
+    assert run([command, str(src), "--output", str(dst), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(rf"error: the fitted viewport {side} 1\.\d+e\+308 is past 2147483647 "
+                        r"units; pass --width and --height\n", captured.err)
+    assert not dst.exists()
+
+
+@pytest.mark.parametrize("flags, width", [
+    (["--edge", "1e9"], "1433012752"),  # fitted, under 2**31 units
+    (["--edge", "1e308", "--width", "100", "--height", "100"], "100"),  # given
+])
+def test_a_viewport_under_the_bound_or_given_still_renders(tmp_path, capsys, flags, width):
+    src = tmp_path / "one.json"
+    src.write_text(json.dumps({"0,0": {"000": 1.0}}))
+    dst = tmp_path / "one.svg"
+    assert run(["lattice-render", str(src), "--output", str(dst), *flags]) == 0
+    assert capsys.readouterr().err == ""
+    assert ET.fromstring(dst.read_text()).get("width") == width
+
+
 def test_lattice_render_of_no_cells_is_a_200_by_200_backdrop(tmp_path, capsys):
     src = tmp_path / "empty.json"
     src.write_text("{}")

@@ -27,7 +27,7 @@ from combcube.coding import (
     multivector_to_json,
 )
 from combcube.gates import Circuit, Gate, apply_circuit, apply_circuit_lattice, teleport_network
-from combcube.render import cube_scene, lattice_scene
+from combcube.render import cube_scene, grid_placement, lattice_scene
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -567,6 +567,10 @@ def test_writers_reject_the_wrong_type(call, what):
     (lambda: lattice_scene(LatticeMultivector(), {}), "style must be a CubeStyle, got dict"),
     (lambda: lattice_scene(LatticeMultivector({(0, 0): Multivector.zero(3)}), placement=[(0, 0)]),
      "placement must be a mapping, got list"),
+    (lambda: lattice_scene(LatticeMultivector({(0, 0): Multivector.zero(3)}), deformation=5),
+     "deformation must be callable, got int"),
+    (lambda: grid_placement(None), "cells must be an iterable of cell indices, got NoneType"),
+    (lambda: grid_placement(5), "cells must be an iterable of cell indices, got int"),
 ])
 def test_a_table_or_cells_that_is_not_a_mapping_is_named(call, message):
     with pytest.raises(TypeError, match=f"^{message}$"):

@@ -378,6 +378,8 @@ def test_cube_scene_validation():
 def test_style_validation():
     with pytest.raises(ValueError):
         CubeStyle(mode="wireframe")
+    with pytest.raises(ValueError, match=r"^mode must be one of \('redundant', 'representative'\)"):
+        CubeStyle(mode=np.array(["redundant", "x"]))
     with pytest.raises(ValueError):
         CubeStyle(background=1.0)
     with pytest.raises(ValueError):
