@@ -83,7 +83,7 @@ class Circuit:
     gates: tuple[Gate, ...]
 
     def __post_init__(self):
-        gates = tuple(self.gates)
+        gates = tuple(_gates_of(self.gates))
         if any(not isinstance(g, Gate) for g in gates):
             raise TypeError("circuit entries must be Gates")
         object.__setattr__(self, "gates", gates)
@@ -96,6 +96,16 @@ class Circuit:
 
     def __getitem__(self, i):
         return self.gates[i]
+
+
+def _gates_of(circuit):
+    """An iterator over ``circuit``, checked up front, so that an error
+    raised while iterating keeps its own message."""
+    try:
+        return iter(circuit)
+    except TypeError:
+        raise TypeError("circuit must be an iterable of Gates, "
+                        f"got {type(circuit).__name__}") from None
 
 
 def _check_bit(dim: int, k: int, role: str = "target") -> int:
@@ -128,7 +138,7 @@ def _compile(gates, dim: int) -> tuple:
     index, a +-1 sign array, or both for H."""
     words, toggled, masks = _bit_tables(dim)
     steps = []
-    for gate in gates:
+    for gate in _gates_of(gates):
         if not isinstance(gate, Gate):
             raise TypeError("expected a Gate")
         kind, b = gate.kind, _check_bit(dim, gate.target)

@@ -121,6 +121,7 @@ _STYLE_NUMBERS = tuple(f.name for f in fields(CubeStyle) if f.name != "mode")
 
 @dataclass(frozen=True)
 class Polygon:
+    """A wall or the body of a cube, as ``Scene.elements`` gives it."""
     points: tuple[tuple[float, float], ...]
     color: RgbColor
     opacity: float
@@ -129,6 +130,7 @@ class Polygon:
 
 @dataclass(frozen=True)
 class Segment:
+    """An edge of a cube, as ``Scene.elements`` gives it."""
     start: tuple[float, float]
     end: tuple[float, float]
     color: RgbColor
@@ -138,6 +140,7 @@ class Segment:
 
 @dataclass(frozen=True)
 class Disc:
+    """A corner of a cube, as ``Scene.elements`` gives it."""
     center: tuple[float, float]
     radius: float
     color: RgbColor
@@ -160,46 +163,16 @@ class _Row(NamedTuple):
 
 
 class Scene:
-    """Drawables in paint order (back to front) over a solid backdrop.
+    """Cubes' drawables in paint order (back to front) over a solid backdrop.
 
-    A scene is stored as arrays: a table of rows, one per primitive,
-    drawn once for each item, the items' points as one (nitems,
-    npoints, 2) array, and each item's colors.  A cube scene has one
-    item per cube: its 8 projected corners, its 8 class colors (indexed
-    by blade word) and the mode's element table.  A scene built from
-    elements is one item whose table lists them.  ``elements`` gives the
-    drawables as Polygon, Segment and Disc, built on first read.
+    Built only by ``cube_scene`` and ``lattice_scene``, and stored as
+    arrays: the mode's element table, the cubes' projected corners as
+    one (ncubes, 8, 2) array and each cube's 8 class colors (by blade
+    word).  ``elements`` is a read-only view, built on first read.
     """
 
-    def __init__(self, background: RgbColor, elements=()):
-        elements = tuple(elements)
-        table, points, colors = [], [], []
-        for el in elements:
-            if isinstance(el, Polygon):
-                kind, pts, field = Polygon, el.points, "opacity"
-            elif isinstance(el, Segment):
-                kind, pts, field = Segment, (el.start, el.end), "width"
-            elif isinstance(el, Disc):
-                kind, pts, field = Disc, (el.center,), "radius"
-            else:
-                raise TypeError(f"unsupported scene element {type(el).__name__}")
-            # a quote would end the SVG attribute value, and <, > or & start markup
-            if type(el.css_class) is not str or any(c in el.css_class for c in '"<>&'):
-                raise ValueError(f'css_class must be a string without ", <, > or &, '
-                                 f'got {el.css_class!r}')
-            value = _check_real(getattr(el, field), f"{kind.__name__} {field}")
-            numbers = tuple(range(len(points), len(points) + len(pts)))
-            table.append(_Row(kind, el.css_class, numbers, len(colors), value))
-            points.extend(pts)
-            colors.append(el.color)
-        try:  # a point that is no pair of real numbers, such as ("1", 2), or ragged rows
-            corners = _real_array(points, "scene points").reshape(1, len(points), 2)
-        except ValueError:
-            raise ValueError("scene points must be (x, y) pairs") from None
-        if not _all_finite(corners):
-            raise ValueError("scene points must be finite")
-        vars(self).update(background=background, _table=tuple(table), _corners=corners,
-                          _colors=[colors], elements=elements)
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a Scene is built by cube_scene or lattice_scene")
 
     @classmethod
     def _from_arrays(cls, background, table, corners, colors) -> "Scene":
@@ -261,10 +234,13 @@ class Scene:
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.background, self.elements) == (other.background, other.elements)
+        return (self.background == other.background and self._table == other._table
+                and np.array_equal(self._corners, other._corners)
+                and self._colors == other._colors)
 
     def __hash__(self) -> int:
-        return hash((self.background, self.elements))
+        # no corners: an array is not hashable, and its bytes tell -0.0 from 0.0
+        return hash((self.background, self._table))
 
     def __repr__(self) -> str:
         return f"Scene(background={self.background!r}, elements={self.elements!r})"

@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import (_INV_SQRT2, Multivector, _as_float, _check_dim, _check_int, _check_real,
                       _quiet_float_errors, _real_vector)
-from .gates import Gate, teleport_network
+from .gates import Gate, _gates_of, teleport_network
 
 _MATRICES = {
     "X": ((0.0, 1.0), (1.0, 0.0)),
@@ -106,7 +106,7 @@ def sv_apply_gate(sv: StateVector, gate: Gate) -> StateVector:
 
 def sv_apply_circuit(circuit, sv: StateVector) -> StateVector:
     """Apply the gates first to last; every gate is checked before any runs."""
-    return _apply(tuple(circuit), sv)
+    return _apply(tuple(_gates_of(circuit)), sv)
 
 
 def sv_teleport(alpha: float, beta: float) -> StateVector:

@@ -2,7 +2,7 @@
 
 Every array the package keeps as immutable data (Multivector
 coefficients, StateVector amplitudes, a lattice's coefficient block)
-and every array it writes out (scene points and cube corners) is
+and every array it writes out (cube corners) is
 checked by ``algebra._all_finite`` and then frozen.  The helper must
 agree with ``np.isfinite(a).all()`` wherever one bad value sits, and
 the callers must keep their messages, their check order and their
@@ -17,10 +17,9 @@ import pytest
 
 from combcube.algebra import Multivector, _all_finite
 from combcube.coding import LatticeMultivector, lattice_from_json
-from combcube.colorwheel import hue_to_rgb
 from combcube.gates import (Gate, apply_circuit, apply_circuit_lattice, apply_gate, teleport,
                             teleport_network)
-from combcube.render import Disc, Scene, lattice_scene
+from combcube.render import lattice_scene
 from combcube.statevector import StateVector, sv_apply_gate
 
 BAD = (math.nan, math.inf, -math.inf)
@@ -77,8 +76,6 @@ def test_callers_keep_their_messages():
     big = LatticeMultivector({(0,): Multivector([1e308, 1e308, 0, 0, 0, 0, 0, 0], 3)})
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="^coefficients must be finite$"):
         apply_circuit_lattice([Gate("H", 1)], big)
-    with pytest.raises(ValueError, match="^scene points must be finite$"):
-        Scene(hue_to_rgb(0.75), [Disc((0.0, math.nan), 5.0, hue_to_rgb(0.5), "corner")])
     lat = LatticeMultivector({(0,): Multivector.zero(3)})
     with pytest.raises(ValueError, match="^cube corners must be finite after placement and deformation$"):
         lattice_scene(lat, deformation=lambda p: (p[0], p[1], -math.inf))

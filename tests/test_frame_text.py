@@ -23,9 +23,7 @@ from combcube.coding import LatticeMultivector, _key_words, _padded, lattice_fro
 from combcube.colorwheel import hue_to_rgb, rgb_to_hex
 from combcube.render import (
     CubeStyle,
-    Disc,
     Polygon,
-    Scene,
     Segment,
     cube_scene,
     emit_svg,
@@ -105,40 +103,39 @@ def _ref_lattice_to_json(lat):
 
 # -- emit_svg ----------------------------------------------------------------
 
-_BG = hue_to_rgb(0.75)
-_RED, _GREEN = (1.0, 0.0, 0.0), (0.0, 0.5, 0.25)
-_SQUARE = ((0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0))
-_HAND_BUILT = {
-    "empty": Scene(_BG),
-    "disc": Scene(_BG, [Disc((3.0, -4.0), 2.5, _RED, "dot")]),
-    "segment": Scene(_BG, [Segment((-1.0, 2.0), (7.5, -0.25), _GREEN, 1.5, "stroke")]),
-    "opaque polygon": Scene(_BG, [Polygon(_SQUARE, _RED, 1.0, "face")]),
-    "translucent polygon": Scene(_BG, [Polygon(_SQUARE, _GREEN, 0.5, "face")]),
-    "mix": Scene(_BG, [
-        Polygon(_SQUARE, _RED, 0.5, "back"),
-        Polygon(((1.0, 1.0), (-0.0, 2.0), (3.0, 0.0)), _GREEN, 1.0, "tri"),
-        Polygon((), _RED, 0.25, "none"),
-        Segment((0.0, 0.0), (10.0, 10.0), _GREEN, 3.0, "diag"),
-        Disc((5.0, 5.0), 1.0, _RED, "%s {0} \\"),
-        Segment((10.0, 10.0), (0.0, 0.0), _RED, 0.5, "diag"),
-        Disc((-0.0, 0.0), 4.0, _GREEN, "origin"),
-    ]),
+_MV = Multivector([-0.07, 0.32, -3.08, 1.06, -0.85, 0.27, -0.0, 4.07], 3)
+
+
+def _lattice():
+    return LatticeMultivector({(i, j): _MV * (i - j) for i in range(3) for j in range(2)})
+
+
+_SCENES = {
+    "empty": lambda: lattice_scene(LatticeMultivector({})),
+    "redundant cube": lambda: cube_scene(_MV),
+    "representative cube": lambda: cube_scene(_MV, CubeStyle(mode="representative")),
+    "opaque cube": lambda: cube_scene(_MV, CubeStyle(wall_opacity=1.0, interior_opacity=1.0)),
+    "redundant lattice": lambda: lattice_scene(_lattice(), deformation=sine_warp()),
+    "representative lattice": lambda: lattice_scene(_lattice(), CubeStyle(mode="representative"),
+                                                    deformation=sine_warp()),
 }
 
 
-@pytest.mark.parametrize("name", sorted(_HAND_BUILT))
-def test_hand_built_scenes_emit_as_the_former_loop(name):
-    scene = _HAND_BUILT[name]
+@pytest.mark.parametrize("name", sorted(_SCENES))
+def test_cube_and_lattice_scenes_emit_as_the_former_loop(name):
+    scene = _SCENES[name]()
     for width, height in ((1, 1), (200, 100), (641, 479)):
         assert emit_svg(scene, width, height) == _ref_emit_svg(scene, width, height)
 
 
 def test_an_empty_scene_is_its_header_and_footer():
-    assert emit_svg(Scene(_BG), 20, 10).splitlines() == [
+    scene = _SCENES["empty"]()
+    assert emit_svg(scene, 20, 10).splitlines() == [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         'width="20" height="10" viewBox="0 0 20 10">',
-        f'<rect class="background" x="0" y="0" width="20" height="10" fill="{rgb_to_hex(_BG)}"/>',
+        f'<rect class="background" x="0" y="0" width="20" height="10" '
+        f'fill="{rgb_to_hex(hue_to_rgb(0.75))}"/>',
         "</svg>",
     ]
 
@@ -148,8 +145,7 @@ def test_styled_cube_scenes_emit_as_the_former_loop(mode):
     style = CubeStyle(mode=mode, background=0.1, angle_deg=40.0, foreshortening=0.7, edge=60.0,
                       stroke_width=1.5, corner_radius=2.5, wall_opacity=1.0,
                       interior_opacity=0.125)
-    mv = Multivector([-0.07, 0.32, -3.08, 1.06, -0.85, 0.27, -0.0, 4.07], 3)
-    for scene in (cube_scene(mv, style), cube_scene(mv, CubeStyle(mode=mode))):
+    for scene in (cube_scene(_MV, style), cube_scene(_MV, CubeStyle(mode=mode))):
         assert emit_svg(scene, 640, 480) == _ref_emit_svg(scene, 640, 480)
 
 

@@ -297,6 +297,32 @@ def test_circuit_rejects_non_gates():
     assert circuit[1] == Gate("H", 2)
 
 
+_CIRCUIT_CALLS = {
+    "Circuit": lambda c: Circuit(c),
+    "apply_circuit": lambda c: apply_circuit(c, Multivector.zero(3)),
+    "apply_circuit_lattice": lambda c: apply_circuit_lattice(
+        c, LatticeMultivector({(0,): Multivector.zero(3)})),
+    "sv_apply_circuit": lambda c: sv_apply_circuit(c, StateVector.basis(0, 3)),
+}
+
+
+@pytest.mark.parametrize("circuit, got", [(None, "NoneType"), (5, "int")], ids=["None", "5"])
+@pytest.mark.parametrize("name", sorted(_CIRCUIT_CALLS))
+def test_a_circuit_that_is_not_iterable_is_named(name, circuit, got):
+    with pytest.raises(TypeError, match=f"^circuit must be an iterable of Gates, got {got}$"):
+        _CIRCUIT_CALLS[name](circuit)
+
+
+@pytest.mark.parametrize("name", sorted(_CIRCUIT_CALLS))
+def test_an_error_raised_while_iterating_a_circuit_keeps_its_message(name):
+    def gates():
+        yield Gate("X", 1)
+        raise TypeError("the gate source failed")
+
+    with pytest.raises(TypeError, match="^the gate source failed$"):
+        _CIRCUIT_CALLS[name](gates())
+
+
 def test_bit_rule_is_integral_but_not_bool():
     # numpy integers are accepted and stored as int; bools are rejected
     assert Gate("X", np.int64(1)) == Gate("X", 1)

@@ -4,12 +4,11 @@
 ``algebra._as_float`` converts such a value, reading an int beyond the
 float range as +-inf; ``algebra._check_real`` also demands a finite
 value.  Every numeric parameter of the colour map, the cube style, the
-scene elements, the grid placement, the lattice offsets, the warp, the
-two teleport entry points and the multivector coefficients and scalar
-operands goes through them.  Outside arrays go through
-``algebra._real_array``, which applies the same rule to each entry:
-multivector coefficients, state-vector amplitudes, scene points and
-deformation results.  So a value either acts exactly as
+grid placement, the lattice offsets, the warp, the two teleport entry
+points and the multivector coefficients and scalar operands goes
+through them.  Outside arrays go through ``algebra._real_array``, which
+applies the same rule to each entry: multivector coefficients,
+state-vector amplitudes and deformation results.  So a value either acts exactly as
 ``float(value)`` does, or it is a ValueError that names the parameter
 (or, for a value that converts to nan or +-inf, the finiteness check
 further on); no TypeError or OverflowError escapes, except that a scalar
@@ -34,10 +33,7 @@ from combcube.colorwheel import hue_to_rgb, nu_of_x, x_of_nu
 from combcube.gates import teleport
 from combcube.render import (
     CubeStyle,
-    Disc,
-    Polygon,
     Scene,
-    Segment,
     cube_scene,
     emit_svg,
     grid_placement,
@@ -47,7 +43,6 @@ from combcube.render import (
 from combcube.statevector import StateVector, equivalence_check, sv_teleport
 
 BIG = 10**400  # an int beyond the float range
-_RED = hue_to_rgb(0.0)
 _LATTICE = LatticeMultivector({
     (0, 0): teleport(0.6, 0.8), (1, 0): Multivector(np.arange(8.0) - 3.5, 3),
 })
@@ -90,15 +85,6 @@ def _cube(**style) -> tuple:
     return _drawn(cube_scene(teleport(0.6, 0.8), CubeStyle(**style)))
 
 
-def _element(kind, v) -> tuple:
-    element = {
-        "Polygon": lambda: Polygon(((0.0, 0.0), (10.0, 0.0), (0.0, 5.0)), _RED, v, "wall-xy"),
-        "Segment": lambda: Segment((0.0, 0.0), (10.0, -20.0), _RED, v, "edge-x"),
-        "Disc": lambda: Disc((1.0, 2.0), v, _RED, "corner"),
-    }[kind]()
-    return _drawn(Scene(hue_to_rgb(0.75), [element]))
-
-
 def _lattice(**kwargs) -> tuple:
     return _drawn(lattice_scene(_LATTICE, **kwargs))
 
@@ -112,9 +98,6 @@ _PARAMETERS = {
                              name.replace("_", "[_ ]"), _plain_float)
        for name in ("background", "angle_deg", "foreshortening", "edge", "stroke_width",
                     "corner_radius", "wall_opacity", "interior_opacity")},
-    **{f"{kind}.{field}": (lambda v, kind=kind: _element(kind, v), f"{kind} {field}",
-                           _plain_float)
-       for kind, field in (("Polygon", "opacity"), ("Segment", "width"), ("Disc", "radius"))},
     "grid_placement.spacing": (lambda v: grid_placement([(1, 2), (3,), (-2, 0, 1)], v),
                                "spacing", _plain_float),
     "lattice_scene.offset": (lambda v: _lattice(placement={(0, 0): (v, 0.0),
@@ -132,13 +115,11 @@ _PARAMETERS = {
                           "alpha|amplitudes must be finite", _plain_float),
     "sv_teleport.beta": (lambda v: sv_teleport(0.6, v).amps.tobytes(),
                          "beta|amplitudes must be finite", _plain_float),
-    # the four sites of the array rule, one entry each
+    # the three sites of the array rule, one entry each
     "Multivector.coeffs": (lambda v: Multivector([v] + [0.5] * 7, 3).coeffs.tobytes(),
                            "coefficients", _plain_float),
     "StateVector.amps": (lambda v: StateVector([v] + [0.5] * 7, 3).amps.tobytes(),
                          "amplitudes", _plain_float),
-    "Scene.points": (lambda v: _drawn(Scene(_RED, [Disc((v, 0.0), 5.0, _RED, "corner")])),
-                     "scene points", _plain_float),
     "lattice_scene.deformation": (lambda v: _lattice(deformation=lambda p: (v, p[1], p[2])),
                                   "deformation|cube corners must be finite", _plain_float),
 }
@@ -181,7 +162,7 @@ def test_a_numeric_parameter_acts_as_its_float_or_names_itself(name, v):
 
 
 _LAT = LatticeMultivector({(0, 0): Multivector.zero(3)})
-_NO_SCENE = Scene(hue_to_rgb(0.75))
+_NO_SCENE = lattice_scene(LatticeMultivector({}))
 _MV0, _SV0 = Multivector.zero(3), StateVector.basis(0, 3)
 
 # every input that let a TypeError or OverflowError escape, or was wrongly
@@ -196,12 +177,6 @@ _PROBES = {
     "sine_warp(10**400)": (lambda: sine_warp(BIG), "amplitude must be finite, got inf"),
     "sine_warp(period=True)": (lambda: sine_warp(period=True),
                                "period must be a real number, got True"),
-    "Disc radius '5'": (lambda: Scene(_RED, [Disc((0.0, 0.0), "5", _RED, "corner")]),
-                        "Disc radius must be a real number, got '5'"),
-    "Disc radius 10**400": (lambda: Scene(_RED, [Disc((0.0, 0.0), BIG, _RED, "corner")]),
-                            "Disc radius must be finite, got inf"),
-    "Disc radius True": (lambda: Scene(_RED, [Disc((0.0, 0.0), True, _RED, "corner")]),
-                         "Disc radius must be a real number, got True"),
     "CubeStyle(edge=10**400)": (lambda: CubeStyle(edge=BIG), "edge must be finite, got inf"),
     "CubeStyle(edge=None)": (lambda: CubeStyle(edge=None), "edge must be a real number, got None"),
     "CubeStyle(edge='abc')": (lambda: CubeStyle(edge="abc"),
@@ -259,12 +234,7 @@ _PROBES = {
             "must be an array of real numbers"),
            ("Decimal list", [Decimal("0.5")] * 8, "must be an array of real numbers"),
            ("None list", [None] + [0.5] * 7, "must be an array of real numbers"))},
-    # a point or deformation result that numpy parsed or read as 0 and 1
-    "Disc at ('1', '2')": (lambda: Scene(_RED, [Disc(("1", "2"), 1.0, _RED, "corner")]),
-                           "scene points must be (x, y) pairs"),
-    "Segment from (b'1', 0.0)": (
-        lambda: Scene(_RED, [Segment((b"1", 0.0), (0.0, 0.0), _RED, 1.0, "edge-x")]),
-        "scene points must be (x, y) pairs"),
+    # a deformation result that numpy parsed or read as 0 and 1
     "deformation to ('1', '2', '3')": (
         lambda: lattice_scene(_LAT, deformation=lambda p: ("1", "2", "3")),
         "deformation must return a 3-point"),

@@ -14,12 +14,13 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from combcube import render
 from combcube.algebra import Multivector
 from combcube.coding import LatticeMultivector, bell_carrier, encode
-from combcube.colorwheel import RgbColor, hue_to_rgb, nu_of_x, rgb_to_hex
+from combcube.colorwheel import hue_to_rgb, nu_of_x, rgb_to_hex
 from combcube.gates import teleport
 from combcube.render import (
     _ELEMENT_TABLES,
@@ -151,14 +152,18 @@ def test_emission_is_deterministic():
     assert first.endswith("</svg>\n")
 
 
+def _empty_scene():
+    return lattice_scene(LatticeMultivector({}))
+
+
 def test_empty_scene_is_background_only():
-    svg = emit_svg(Scene(hue_to_rgb(0.75)), 200, 100)
+    svg = emit_svg(_empty_scene(), 200, 100)
     parsed = _parse(svg)
     assert len(parsed) == 1
     tag, cls, color, attrib = parsed[0]
     assert (tag, cls, color) == ("rect", "background", ZERO_HEX)
     assert attrib["width"] == "200" and attrib["height"] == "100"
-    assert scene_bbox(Scene(hue_to_rgb(0.75))) is None
+    assert scene_bbox(_empty_scene()) is None
 
 
 def test_scalar_cube_colors():
@@ -391,7 +396,7 @@ def test_style_validation():
 
 
 def test_emit_validation():
-    scene = Scene(hue_to_rgb(0.75))
+    scene = _empty_scene()
     with pytest.raises(ValueError):
         emit_svg(scene, 0, 100)
     with pytest.raises(ValueError):
@@ -400,8 +405,18 @@ def test_emit_validation():
         emit_svg(scene, 100.0, 100)
     with pytest.raises(TypeError):
         emit_svg("nope", 100, 100)
-    with pytest.raises(TypeError):
-        Scene(hue_to_rgb(0.75), ("nope",))
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((), {}),
+    ((hue_to_rgb(0.75),), {}),
+    ((hue_to_rgb(0.75), ()), {}),
+    ((hue_to_rgb(0.75), ("nope",)), {}),
+    ((), {"background": hue_to_rgb(0.75), "elements": ()}),
+], ids=["none", "background", "no elements", "not an element", "keywords"])
+def test_a_scene_is_built_only_from_cubes(args, kwargs):
+    with pytest.raises(TypeError, match="^a Scene is built by cube_scene or lattice_scene$"):
+        Scene(*args, **kwargs)
 
 
 def test_projection_geometry():
@@ -422,15 +437,11 @@ def test_projection_geometry():
 
 
 def test_scene_bbox():
-    scene = Scene(
-        hue_to_rgb(0.75),
-        (
-            Disc((0.0, 0.0), 5.0, hue_to_rgb(0.0), "corner"),
-            Segment((0.0, 0.0), (10.0, -20.0), hue_to_rgb(0.0), 3.0, "edge-x"),
-            Polygon(((1.0, 1.0), (30.0, 1.0), (30.0, 4.0)), hue_to_rgb(0.0), 1.0, "wall-xy"),
-        ),
-    )
-    assert scene_bbox(scene) == (-5.0, -20.0, 30.0, 5.0)
+    # at angle 0 the receding axis runs along x: y = 1 shifts a corner by
+    # edge * foreshortening = 50 to the right, and z = 1 lifts it by 100
+    scene = cube_scene(_example_mv(), CubeStyle(angle_deg=0.0, foreshortening=0.5))
+    # corners span x in [0, 150] and y in [-100, 0]; the discs add their radius 5
+    assert scene_bbox(scene) == (-5.0, -105.0, 155.0, 5.0)
 
 
 def test_scene_bbox_is_worked_out_once():
@@ -461,83 +472,19 @@ def test_sine_warp_rejects_non_finite_parameters():
         sine_warp(period=math.inf)
 
 
-# coordinates that stress the formatting: signed zeros, values that sit
-# on a .xx5 rounding edge, and repeats (the pool is small, so points recur)
-_EDGY = st.sampled_from([
-    0.0, -0.0, 0.005, -0.005, 0.015, 1.005, -1.005, 2.675, -2.675,
-    0.125, -0.125, 10.0, 123.455, -99.995, 1e-9, -1e-9,
-])
-_COORD = st.one_of(_EDGY, st.floats(-500.0, 500.0))
-_POINT = st.tuples(_COORD, _COORD)
-_CHANNEL = st.one_of(
-    st.sampled_from([0.0, -0.0, 1.0, 0.5, 0.5 / 255.0, 1.5 / 255.0, 127.5 / 255.0]),
-    st.floats(0.0, 1.0),
-)
-_COLOR = st.builds(RgbColor, _CHANNEL, _CHANNEL, _CHANNEL)
-_ELEMENT = st.one_of(
-    st.builds(Polygon, st.lists(_POINT, min_size=1, max_size=5).map(tuple), _COLOR,
-              st.just(0.8), st.just("wall-xy")),
-    st.builds(Segment, _POINT, _POINT, _COLOR, st.just(3.0), st.just("edge-x")),
-    st.builds(Disc, _POINT, st.sampled_from([0.0, 2.5, 5.0]), _COLOR, st.just("corner")),
-)
-
-
 def _fmt_expected(v):
     s = f"{v:.2f}"
     return "0.00" if s == "-0.00" else s
 
 
-_RED = RgbColor(1.0, 0.0, 0.0)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(_ELEMENT, max_size=12), st.integers(1, 900), st.integers(1, 900))
-# a 2x2 viewport centred on these elements leaves dx = dy = 0, so the
-# signed zeros, -0.004 (printed -0.00 before folding) and the .xx5 edges
-# reach the formatter unshifted
-@example([
-    Segment((-0.004, -0.0), (2.004, 2.0), _RED, 3.0, "edge-x"),
-    Polygon(((0.0, -0.0), (-0.0, 1.005), (1.005, 0.015), (0.0, -0.0)), _RED, 0.8, "wall-xy"),
-    Disc((-0.0, 1.0), 0.0, RgbColor(0.5 / 255.0, -0.0, 127.5 / 255.0), "corner"),
-], 2, 2)
-def test_emitted_coordinates_and_colors_match_each_element(elements, width, height):
-    scene = Scene(hue_to_rgb(0.75), tuple(elements))
-    parsed = _parse(emit_svg(scene, width, height))[1:]
-    assert len(parsed) == len(elements)
-    if elements:
-        x0, y0, x1, y1 = scene_bbox(scene)
-        dx, dy = width / 2.0 - (x0 + x1) / 2.0, height / 2.0 - (y0 + y1) / 2.0
-    for el, (tag, _, color, attrib) in zip(elements, parsed):
-        assert color == rgb_to_hex(el.color)
-        if isinstance(el, Polygon):
-            assert tag == "polygon"
-            want = " ".join(f"{_fmt_expected(x + dx)},{_fmt_expected(y + dy)}" for x, y in el.points)
-            assert attrib["points"] == want
-        elif isinstance(el, Segment):
-            assert tag == "line"
-            assert [attrib[a] for a in ("x1", "y1", "x2", "y2")] == [
-                _fmt_expected(el.start[0] + dx), _fmt_expected(el.start[1] + dy),
-                _fmt_expected(el.end[0] + dx), _fmt_expected(el.end[1] + dy),
-            ]
-        else:
-            assert tag == "circle"
-            assert [attrib["cx"], attrib["cy"]] == [
-                _fmt_expected(el.center[0] + dx), _fmt_expected(el.center[1] + dy),
-            ]
-
-
-@pytest.mark.parametrize("element, message", [
-    (Polygon(((0.0, 0.0), (math.nan, 1.0)), _RED, 0.8, "wall-xy"), "scene points must be finite"),
-    (Segment((0.0, 0.0), (1.0, math.inf), _RED, 3.0, "edge-x"), "scene points must be finite"),
-    (Disc((-math.inf, 0.0), 5.0, _RED, "corner"), "scene points must be finite"),
-    (Polygon(((0.0, 0.0),), _RED, math.nan, "wall-xy"), "Polygon opacity must be finite, got nan"),
-    (Segment((0.0, 0.0), (1.0, 1.0), _RED, math.inf, "edge-x"), "Segment width must be finite, got inf"),
-    (Disc((0.0, 0.0), -math.inf, _RED, "corner"), "Disc radius must be finite, got -inf"),
+@pytest.mark.parametrize("value, text", [
+    (-0.0, "0.00"), (-0.004, "0.00"), (1e-320, "0.00"), (1.005, "1.00"), (2.004, "2.00"),
+    (0.015, "0.01"), (0.125, "0.12"), (-0.005, "-0.01"),
 ])
-def test_hand_built_scenes_reject_non_finite_values(element, message):
-    good = Disc((1.0, 2.0), 5.0, _RED, "corner")
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        Scene(hue_to_rgb(0.75), (good, element))
+def test_the_formatter_prints_edge_values_as_pinned(value, text):
+    # signed zeros, a value printed -0.00 before folding, a subnormal and
+    # values on or near a .xx5 rounding edge
+    assert render._fmt(value) == text
 
 
 # -- the per-element reference ------------------------------------------------
@@ -689,8 +636,6 @@ def test_lattice_scene_matches_the_per_element_reference(case, width, height):
     background = hue_to_rgb(style.background)
     svg = _ref_emit(background, want, width, height)
     assert emit_svg(lattice_scene(lat, style, placement, deformation), width, height) == svg
-    # a scene built from those elements takes the same box and emitter
-    assert emit_svg(Scene(background, want), width, height) == svg
 
 
 def test_cube_scene_matches_the_per_element_reference():
@@ -758,28 +703,28 @@ def test_a_cube_past_the_float_range_is_a_value_error_without_a_warning():
         cube_scene(Multivector.scalar(1.0, 3), CubeStyle(edge=1.5e308))
 
 
-@pytest.mark.parametrize("elements", [
-    [Disc((1e308, 0.0), 1e308, hue_to_rgb(0.1), "corner")],  # its extent overflows
-    [Segment((-1e308, 0.0), (1e308, 0.0), hue_to_rgb(0.1), 1.0, "edge-x")],  # its span
-    [Segment((0.0, 1e308), (0.0, 1.5e308), hue_to_rgb(0.1), 1.0, "edge-z")],  # its centre
+@pytest.mark.parametrize("placement, style", [
+    # its box is finite at the default corner radius; the discs take it past
+    ({(0,): (-0.7, 0.0, 0.0)}, CubeStyle(edge=1e308, corner_radius=1e308)),
+    ({(0,): (-1.5, 0.0, 0.0), (1,): (0.2, 0.0, 0.0)}, CubeStyle(edge=1e308)),  # its span
+    ({(0,): (0.5, 0.0, 0.0)}, CubeStyle(edge=0.8e308)),  # its centre
 ], ids=["disc", "span", "centre"])
-def test_a_scene_extent_past_the_float_range_is_a_value_error(elements):
-    scene = Scene(hue_to_rgb(0.5), elements)
+def test_a_scene_extent_past_the_float_range_is_a_value_error(placement, style):
+    scene = lattice_scene(LatticeMultivector({cell: _example_mv() for cell in placement}),
+                          style, placement)
     for call in (lambda: scene_bbox(scene), lambda: emit_svg(scene, 10, 10)):
         with pytest.raises(ValueError, match="^scene extent must have a finite span and centre"):
             call()
 
 
 def test_a_scene_extent_at_the_float_range_still_renders():
-    big = 0.5 * np.finfo(np.float64).max
-    scene = Scene(hue_to_rgb(0.5), [Segment((-big, big), (big, big), hue_to_rgb(0.1), 1.0,
-                                            "edge-x")])
-    assert scene_bbox(scene) == (-big, big, big, big)
+    scene = cube_scene(_example_mv(), CubeStyle(edge=0.5e308))
+    assert np.isfinite(scene_bbox(scene)).all()
     svg = emit_svg(scene, 10, 10)
     assert "inf" not in svg and "nan" not in svg
 
 
-# -- wrong types, malformed points and a frozen scene ------------------------
+# -- wrong types and a frozen scene ------------------------------------------
 
 
 def test_scene_bbox_rejects_what_is_not_a_scene():
@@ -787,38 +732,32 @@ def test_scene_bbox_rejects_what_is_not_a_scene():
         scene_bbox("x")
 
 
-@pytest.mark.parametrize("element", [
-    Polygon(((0.0, 0.0), (1.0, 2.0, 3.0)), hue_to_rgb(0.5), 1.0, "wall-xy"),
-    Disc((0.0, 1.0, 2.0), 1.0, hue_to_rgb(0.5), "corner"),
-])
-def test_scene_points_that_are_not_pairs_are_named(element):
-    with pytest.raises(ValueError, match=r"^scene points must be \(x, y\) pairs$"):
-        Scene(hue_to_rgb(0.5), [element])
-
-
-@pytest.mark.parametrize("css_class", ['f" onload="x', "a<b", "a>b", "a&amp;b", None])
-def test_a_css_class_that_would_break_the_markup_is_named(css_class):
-    element = Polygon(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0)), hue_to_rgb(0.5), 1.0, css_class)
-    with pytest.raises(ValueError, match="^css_class must be a string without "):
-        Scene(hue_to_rgb(0.5), [element])
-
-
-def _disc_scene():
-    return Scene(hue_to_rgb(0.75), [Disc((0.0, 1.0), 2.0, hue_to_rgb(0.5), "corner")])
+def _cube():
+    return cube_scene(_example_mv(), CubeStyle(mode="representative"))
 
 
 def test_a_scene_is_frozen_hashable_and_printable():
-    scene = _disc_scene()
+    scene = _cube()
     with pytest.raises(FrozenInstanceError, match="^cannot assign to field 'background'$"):
         scene.background = hue_to_rgb(0.1)
     with pytest.raises(FrozenInstanceError, match="^cannot delete field 'background'$"):
         del scene.background
     assert scene.background == hue_to_rgb(0.75)
     assert scene.__eq__(1) is NotImplemented and (scene == 1) is False
-    assert hash(scene) == hash(_disc_scene()) and len({scene, _disc_scene()}) == 1
-    assert repr(scene) == ("Scene(background=RgbColor(r=0.5, g=0.0, b=1.0), elements=(Disc("
-                           "center=(0.0, 1.0), radius=2.0, color=RgbColor(r=0.0, g=1.0, b=1.0), "
-                           "css_class='corner'),))")
+    assert scene == _cube() and hash(scene) == hash(_cube()) and len({scene, _cube()}) == 1
+    # equal cubes, one coefficient's sign of zero apart: the same corners and colors
+    zero, negative_zero = Multivector.zero(3), Multivector([-0.0] * 8, 3)
+    assert cube_scene(zero) == cube_scene(negative_zero)
+    assert hash(cube_scene(zero)) == hash(cube_scene(negative_zero))
+    # a color, a corner or a row apart
+    assert scene != cube_scene(zero, CubeStyle(mode="representative"))
+    assert scene != cube_scene(_example_mv(), CubeStyle(mode="representative", edge=60.0))
+    assert scene != cube_scene(_example_mv())
+    # == and hash read the arrays; the elements are built only when read
+    assert "elements" not in vars(scene)
+    assert repr(scene) == f"Scene(background={scene.background!r}, elements={scene.elements!r})"
+    assert repr(scene).startswith("Scene(background=RgbColor(r=0.5, g=0.0, b=1.0), elements=("
+                                  "Polygon(points=((0.0, -0.0), (100.0, -0.0), ")
 
 
 def test_sine_warp_names_its_period_when_the_phase_is_infinite():
