@@ -10,8 +10,6 @@ from .algebra import (
     blade_product,
     geometric_product,
     grade_projection,
-    inner_product,
-    outer_product,
 )
 from .coding import (
     MAX_CELL_INDEX,
@@ -21,7 +19,6 @@ from .coding import (
     bits_to_key,
     comb,
     comb_bits,
-    decode,
     encode,
     lattice_from_json,
     lattice_to_json,

@@ -353,27 +353,6 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     return Multivector(out, dim)
 
 
-def inner_product(a: Multivector, b: Multivector) -> Multivector:
-    """Symmetrized half of the geometric product, (ab + ba)/2.
-
-    On grade-1 arguments this is the usual scalar-valued dot product;
-    for general arguments the symmetrized form is taken as the
-    definition, which differs from grade-projection-based inner
-    products once grades mix.
-    """
-    return (geometric_product(a, b) + geometric_product(b, a)) * 0.5
-
-
-def outer_product(a: Multivector, b: Multivector) -> Multivector:
-    """Antisymmetrized half of the geometric product, (ab - ba)/2.
-
-    Matches the usual wedge on grade-1 arguments; for general
-    arguments the commutator form is the definition, so commuting
-    inputs (for example b1 and b2 b3) wedge to zero here.
-    """
-    return (geometric_product(a, b) - geometric_product(b, a)) * 0.5
-
-
 def grade_projection(a: Multivector, g: int) -> Multivector:
     """Keep only the coefficients of blades with exactly g generators."""
     if not isinstance(a, Multivector):

@@ -150,16 +150,6 @@ def _fill(out: list, start: int, table: Mapping, dim: int) -> None:
                 f"coefficient for {bits_to_key(comb_bits(word, dim))!r} must be finite")
 
 
-def decode(mv: Multivector) -> dict[tuple[int, ...], float]:
-    """Total coefficient table of a multivector, keyed by bit tuples."""
-    if not isinstance(mv, Multivector):
-        raise TypeError("expected a Multivector")
-    return {
-        comb_bits(word, mv.dim): float(mv.coeffs[word])
-        for word in range(1 << mv.dim)
-    }
-
-
 _BELL_CARRIER = Multivector.blade(0b000, 3, _INV_SQRT2) + Multivector.blade(0b110, 3, _INV_SQRT2)
 
 
@@ -358,18 +348,12 @@ def _json_number(v: float) -> str:
     return "-0.0" if text == "-0" else text
 
 
-def _table_body(coeffs: list, dim: int, indent: str) -> str:
-    """The lines of a coefficient table, in key order, without braces."""
-    return ",\n".join([
-        f'{indent}"{key}": {_json_number(coeffs[word])}'
-        for key, word in _key_words(dim).items()
-    ])
-
-
 def multivector_to_json(mv: Multivector) -> str:
     if not isinstance(mv, Multivector):
         raise TypeError("expected a Multivector")
-    return "{\n" + _table_body(mv.coeffs.tolist(), mv.dim, "  ") + "\n}\n"
+    coeffs = mv.coeffs.tolist()
+    lines = [f'  "{key}": {_json_number(coeffs[word])}' for key, word in _key_words(mv.dim).items()]
+    return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
 def multivector_from_json(text: str, dim: int | None = None) -> Multivector:
@@ -387,10 +371,6 @@ def multivector_from_json(text: str, dim: int | None = None) -> Multivector:
     if dim is not None and dim != inferred:
         raise ValueError(f"table is dimension {inferred}, expected {dim}")
     return encode(obj, inferred)
-
-
-def cell_to_key(cell) -> str:
-    return ",".join(str(p) for p in _as_cell(cell))
 
 
 # ASCII integers joined by commas: no "+", space, "_" or non-ASCII digit,
@@ -444,7 +424,7 @@ def lattice_from_json(text: str) -> LatticeMultivector:
     for key, table in obj.items():
         cell = key_to_cell(key)
         if cell in rows:
-            raise ValueError(f"cell key {key!r} repeats cell {cell_to_key(cell)!r}")
+            raise ValueError(f"cell key {key!r} repeats cell {','.join(map(str, cell))!r}")
         if not isinstance(table, dict):
             raise ValueError(f"cell {key!r} must map to a coefficient table")
         _fill(coeffs, size * len(rows), table, _LATTICE_DIM)

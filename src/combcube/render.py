@@ -219,12 +219,12 @@ class Scene:
         # Every point is drawn by some row, and a disc's center lies
         # between its extents, so the points themselves can all go in.
         boxes = [_box(self._corners)]
+        # both modes draw corner discs: 8 in redundant mode, 1 in representative
         discs = [row for row in self._table if row.kind is Disc]
-        if discs:
-            centers = self._corners[:, [row.points[0] for row in discs]]
-            radii = np.array([row.value for row in discs], dtype=np.float64)[:, None]
-            with _quiet_float_errors():
-                boxes += [_box(centers - radii), _box(centers + radii)]
+        centers = self._corners[:, [row.points[0] for row in discs]]
+        radii = np.array([row.value for row in discs], dtype=np.float64)[:, None]
+        with _quiet_float_errors():
+            boxes += [_box(centers - radii), _box(centers + radii)]
         x0, y0, x1, y1 = zip(*boxes)
         x0, y0, x1, y1 = box = (min(x0), min(y0), max(x1), max(y1))
         if not _all_finite(np.array([x1 - x0, y1 - y0, x0 + x1, y0 + y1])):
@@ -243,7 +243,8 @@ class Scene:
         return hash((self.background, self._table))
 
     def __repr__(self) -> str:
-        return f"Scene(background={self.background!r}, elements={self.elements!r})"
+        return (f"Scene(background={self.background!r}, cubes={len(self._corners)}, "
+                f"primitives={self._primitives})")
 
 
 def _box(points: np.ndarray) -> tuple:
@@ -467,14 +468,12 @@ def emit_svg(scene: Scene, width: int, height: int) -> str:
         f'<rect class="background" x="0" y="0" width="{width}" height="{height}" '
         f'fill="{rgb_to_hex(scene.background)}"/>'
     ]
-    # An empty table draws nothing, and itemgetter needs an index; a row
-    # always picks a literal and a color, so the pick gives a tuple.
-    if scene._table:
-        literals, order = _row_template(scene._table, scene._corners.shape[1])
-        pick, slots = itemgetter(*order), [row.slot for row in scene._table]
-        xy = scene._corners.transpose(2, 0, 1).tolist()
-        for px, py, colors in zip(*xy, scene._colors):
-            out.append("".join(pick([*map(xs, px), *map(ys, py),
-                                     *[rgb_to_hex(colors[s]) for s in slots], *literals])))
+    # a row always picks a literal and a color, so the pick gives a tuple
+    literals, order = _row_template(scene._table, scene._corners.shape[1])
+    pick, slots = itemgetter(*order), [row.slot for row in scene._table]
+    xy = scene._corners.transpose(2, 0, 1).tolist()
+    for px, py, colors in zip(*xy, scene._colors):
+        out.append("".join(pick([*map(xs, px), *map(ys, py),
+                                 *[rgb_to_hex(colors[s]) for s in slots], *literals])))
     out.append("\n</svg>\n")
     return "".join(out)

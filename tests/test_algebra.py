@@ -21,8 +21,6 @@ from combcube.algebra import (
     blade_product,
     geometric_product,
     grade_projection,
-    inner_product,
-    outer_product,
 )
 from combcube.coding import comb_bits
 
@@ -274,47 +272,6 @@ def test_higher_dimension_pair_loop_agrees_with_table_path():
     big = geometric_product(Multivector(big_a, 9), Multivector(big_b, 9))
     np.testing.assert_allclose(big.coeffs[:8], small.coeffs, atol=1e-14)
     assert np.all(big.coeffs[8:] == 0.0)
-
-
-def test_inner_product_grade_one():
-    b1 = Multivector.basis_vector(1, 3)
-    b2 = Multivector.basis_vector(2, 3)
-    assert inner_product(b1, b2) == Multivector.zero(3)
-    assert inner_product(b1, b1) == Multivector.scalar(1.0, 3)
-    assert inner_product(b1 + b2, b1) == Multivector.scalar(1.0, 3)
-
-
-def test_inner_outer_on_commuting_mixed_grades():
-    # b1 and b2b3 commute, so the symmetrized product carries the whole
-    # geometric product and the antisymmetrized one vanishes
-    b1 = Multivector.basis_vector(1, 3)
-    b23 = Multivector.blade(0b110, 3)
-    assert inner_product(b1, b23) == Multivector.blade(0b111, 3)
-    assert outer_product(b1, b23) == Multivector.zero(3)
-
-
-def test_outer_product_grade_one():
-    b1 = Multivector.basis_vector(1, 3)
-    b2 = Multivector.basis_vector(2, 3)
-    assert outer_product(b1, b2) == Multivector.blade(0b011, 3)
-    assert outer_product(b1, b1) == Multivector.zero(3)
-    assert outer_product(b2, b1) == Multivector.blade(0b011, 3, -1.0)
-
-
-def _random_vector(rng):
-    coeffs = np.zeros(8)
-    for word in (0b001, 0b010, 0b100):
-        coeffs[word] = rng.uniform(-3, 3)
-    return Multivector(coeffs, 3)
-
-
-def test_inner_plus_outer_recovers_product_on_vectors():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        a, b = _random_vector(rng), _random_vector(rng)
-        whole = geometric_product(a, b)
-        split = inner_product(a, b) + outer_product(a, b)
-        assert np.max(np.abs(whole.coeffs - split.coeffs)) <= 1e-12
 
 
 def test_grade_projection_cases():

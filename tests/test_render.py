@@ -753,11 +753,18 @@ def test_a_scene_is_frozen_hashable_and_printable():
     assert scene != cube_scene(zero, CubeStyle(mode="representative"))
     assert scene != cube_scene(_example_mv(), CubeStyle(mode="representative", edge=60.0))
     assert scene != cube_scene(_example_mv())
-    # == and hash read the arrays; the elements are built only when read
+    # ==, hash and repr read the arrays; the elements are built only when read
+    assert repr(scene) == "Scene(background=RgbColor(r=0.5, g=0.0, b=1.0), cubes=1, primitives=8)"
     assert "elements" not in vars(scene)
-    assert repr(scene) == f"Scene(background={scene.background!r}, elements={scene.elements!r})"
-    assert repr(scene).startswith("Scene(background=RgbColor(r=0.5, g=0.0, b=1.0), elements=("
-                                  "Polygon(points=((0.0, -0.0), (100.0, -0.0), ")
+
+
+def test_a_lattice_scene_prints_without_building_its_elements():
+    lat = LatticeMultivector({(i, j): teleport(0.6, 0.8) for i in range(12) for j in range(12)})
+    scene = lattice_scene(lat)
+    text = repr(scene)
+    assert "elements" not in vars(scene)
+    assert text == "Scene(background=RgbColor(r=0.5, g=0.0, b=1.0), cubes=144, primitives=3888)"
+    assert len(scene.elements) == 3888
 
 
 def test_sine_warp_names_its_period_when_the_phase_is_infinite():
