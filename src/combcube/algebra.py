@@ -18,7 +18,12 @@ Geometric Algebra for Computer Science (2007), ch. 19.
 Every module checks its input with the rules kept here: integers
 (``_is_int``, ``_check_int``), reals (``_is_real``, ``_as_float``,
 ``_check_real``), outside arrays (``_real_array``) and array finiteness
-(``_all_finite``).
+(``_all_finite``).  A Multivector or StateVector is built one of two
+ways.  The public constructors read outside input: they copy it and
+apply every rule above.  ``Multivector._of`` and ``StateVector._of``
+wrap an array the package has just made and nothing else holds: they
+check finiteness and freeze it (``_frozen``, the constructors' last
+step), with no copy and no second read.
 """
 
 from __future__ import annotations
@@ -149,10 +154,17 @@ def _real_vector(values, dim, field: str, where: str = "") -> tuple[np.ndarray, 
     dim = _check_dim(dim)
     if arr.size != (1 << dim):
         raise ValueError(f"expected {1 << dim} {field}{where.format(dim)}, got {arr.size}")
+    return _frozen(arr, field), dim
+
+
+def _frozen(arr: np.ndarray, field: str) -> np.ndarray:
+    """``arr`` made read-only if every entry is finite, else a ValueError
+    "<field> must be finite".  ``arr`` must own its data, or a writeable
+    base would be left under the frozen view."""
     if not _all_finite(arr):
         raise ValueError(f"{field} must be finite")
     arr.setflags(write=False)
-    return arr, dim
+    return arr
 
 
 def blade_product(m1: int, m2: int, dim: int) -> tuple[int, int]:
@@ -179,13 +191,24 @@ class Multivector:
     """Immutable element of Cl(dim) with dense float64 coefficients.
 
     ``coeffs[m]`` is the coefficient of the blade with word ``m``; the
-    backing array is read-only and coefficients must be finite.
+    backing array is read-only, owned and finite.  ``Multivector(coeffs)``
+    copies and checks outside input; package results come from ``_of``.
     """
 
     __slots__ = ("_dim", "_coeffs")
 
     def __init__(self, coeffs, dim: int | None = None):
         self._coeffs, self._dim = _real_vector(coeffs, dim, "coefficients", " for Cl({})")
+
+    @classmethod
+    def _of(cls, arr: np.ndarray, dim: int) -> "Multivector":
+        """A Multivector over ``arr``, a flat float64 array of 2**dim entries
+        that the package has just allocated and nothing else holds, and
+        ``dim``, a checked int: finite and frozen as ``__init__``'s copy is,
+        but neither copied nor read again as outside input."""
+        mv = cls.__new__(cls)
+        mv._coeffs, mv._dim = _frozen(arr, "coefficients"), dim
+        return mv
 
     @property
     def dim(self) -> int:
@@ -205,13 +228,13 @@ class Multivector:
 
     @classmethod
     def blade(cls, word: int, dim: int, coeff: float = 1.0) -> "Multivector":
-        _check_dim(dim)
+        dim = _check_dim(dim)
         _check_int(word, "blade word")
         if not 0 <= word < (1 << dim):
             raise ValueError(f"blade word out of range for Cl({dim}): {word}")
         arr = np.zeros(1 << dim)
         arr[word] = _as_float(coeff, "coefficient")
-        return cls(arr, dim)
+        return cls._of(arr, dim)
 
     @classmethod
     def basis_vector(cls, k: int, dim: int) -> "Multivector":
@@ -244,17 +267,17 @@ class Multivector:
             return NotImplemented
         dim = _check_same_dim(self, other)
         with _quiet_float_errors():
-            return Multivector(self._coeffs + other._coeffs, dim)
+            return Multivector._of(self._coeffs + other._coeffs, dim)
 
     def __sub__(self, other):
         if not isinstance(other, Multivector):
             return NotImplemented
         dim = _check_same_dim(self, other)
         with _quiet_float_errors():
-            return Multivector(self._coeffs - other._coeffs, dim)
+            return Multivector._of(self._coeffs - other._coeffs, dim)
 
     def __neg__(self):
-        return Multivector(-self._coeffs, self._dim)
+        return Multivector._of(-self._coeffs, self._dim)
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
@@ -265,13 +288,13 @@ class Multivector:
         if not _is_real(other):
             return NotImplemented
         with _quiet_float_errors():
-            return Multivector(self._coeffs * _as_float(other, "scalar"), self._dim)
+            return Multivector._of(self._coeffs * _as_float(other, "scalar"), self._dim)
 
     def __truediv__(self, other):
         if not _is_real(other):
             return NotImplemented
         with _quiet_float_errors():
-            return Multivector(self._coeffs / _as_float(other, "scalar"), self._dim)
+            return Multivector._of(self._coeffs / _as_float(other, "scalar"), self._dim)
 
     def __repr__(self) -> str:
         terms = []
@@ -341,16 +364,16 @@ def geometric_product(a: Multivector, b: Multivector) -> Multivector:
     ca, cb = a.coeffs, b.coeffs
     if dim <= _ALL_PAIRS_MAX_DIM:
         idx, sign = _all_pairs(dim)
-        products = np.multiply.outer(ca, cb).ravel()
-        return Multivector(np.bincount(idx, sign * products, 1 << dim), dim)
+        return Multivector._of(np.bincount(idx, sign * (ca[:, None] * cb).ravel(), 1 << dim), dim)
     out = np.zeros(1 << dim)
     rows, cols = np.flatnonzero(ca), np.flatnonzero(cb)
     step = max(1, _CHUNK_PAIRS // max(1, cols.size))
-    for start in range(0, rows.size, step):
-        i = rows[start : start + step]
-        idx, sign = _pairs(i, cols, dim)
-        np.add.at(out, idx, sign * np.multiply.outer(ca[i], cb[cols]).ravel())
-    return Multivector(out, dim)
+    with _quiet_float_errors():  # an overflow reaches the check in _of as inf or nan
+        for start in range(0, rows.size, step):
+            i = rows[start : start + step]
+            idx, sign = _pairs(i, cols, dim)
+            np.add.at(out, idx, sign * (ca[i][:, None] * cb[cols]).ravel())
+    return Multivector._of(out, dim)
 
 
 def grade_projection(a: Multivector, g: int) -> Multivector:
@@ -361,4 +384,4 @@ def grade_projection(a: Multivector, g: int) -> Multivector:
     if not 0 <= g <= a.dim:
         raise ValueError(f"grade must be in [0, {a.dim}], got {g}")
     mask = _word_tables(a.dim)[0] == g
-    return Multivector(np.where(mask, a.coeffs, 0.0), a.dim)
+    return Multivector._of(np.where(mask, a.coeffs, 0.0), a.dim)

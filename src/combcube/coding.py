@@ -109,12 +109,12 @@ def encode(table: Mapping, dim: int) -> Multivector:
     zero.  A key of the wrong length, or two spellings of the same
     comb, is an error.
     """
-    _check_dim(dim)
+    dim = _check_dim(dim)
     if not isinstance(table, Mapping):
         raise TypeError(f"table must be a mapping, got {type(table).__name__}")
     coeffs = [0.0] * (1 << dim)
     _fill(coeffs, 0, table, dim)
-    return Multivector(coeffs, dim)
+    return Multivector._of(np.array(coeffs), dim)
 
 
 def _fill(out: list, start: int, table: Mapping, dim: int) -> None:
@@ -275,14 +275,15 @@ class LatticeMultivector:
 
     def items(self) -> tuple[tuple[tuple[int, ...], Multivector], ...]:
         return tuple(
-            (cell, Multivector(row, _LATTICE_DIM)) for cell, row in zip(self._cells, self._block)
+            (cell, Multivector._of(row.copy(), _LATTICE_DIM))
+            for cell, row in zip(self._cells, self._block)
         )
 
     def get(self, cell) -> Multivector:
         row = self._index.get(_padded(_as_cell(cell)))
         if row is None:
             return Multivector.zero(_LATTICE_DIM)
-        return Multivector(self._block[row], _LATTICE_DIM)
+        return Multivector._of(self._block[row].copy(), _LATTICE_DIM)
 
     def set(self, cell, mv: Multivector) -> "LatticeMultivector":
         cell = _as_cell(cell)

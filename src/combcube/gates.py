@@ -175,7 +175,9 @@ def _apply(mv: Multivector, gates) -> Multivector:
     if not isinstance(mv, Multivector):
         raise TypeError("expected a Multivector")
     with _quiet_float_errors():
-        return Multivector(_run(_compile(gates, mv.dim), mv.coeffs), mv.dim)
+        out = _run(_compile(gates, mv.dim), mv.coeffs)
+    # an empty circuit returns the operand's own array
+    return Multivector._of(out.copy() if out is mv.coeffs else out, mv.dim)
 
 
 def apply_gate(mv: Multivector, gate: Gate) -> Multivector:
@@ -260,4 +262,4 @@ def teleport(alpha: float, beta: float) -> Multivector:
     payload[0b000] = _as_float(alpha, "alpha")
     payload[0b001] = _as_float(beta, "beta")
     state = geometric_product(Multivector(payload, 3), bell_carrier())
-    return Multivector(_teleport_steps(*state.coeffs.tolist()), 3)
+    return Multivector._of(np.array(_teleport_steps(*state.coeffs.tolist())), 3)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import (_INV_SQRT2, Multivector, _as_float, _check_dim, _check_int, _check_real,
-                      _quiet_float_errors, _real_vector)
+                      _frozen, _quiet_float_errors, _real_vector)
 from .gates import Gate, _gates_of, teleport_network
 
 _MATRICES = {
@@ -29,12 +29,24 @@ _MATRICES = {
 
 
 class StateVector:
-    """Immutable real amplitude vector over n bits, 1 <= n <= MAX_DIM."""
+    """Immutable real amplitude vector over n bits, 1 <= n <= MAX_DIM.
+
+    The amplitudes are read-only, owned and finite.  ``StateVector(amps)``
+    copies and checks outside input; the simulator's own results come
+    from ``_of``.
+    """
 
     __slots__ = ("_dim", "_amps")
 
     def __init__(self, amps, dim: int | None = None):
         self._amps, self._dim = _real_vector(amps, dim, "amplitudes")
+
+    @classmethod
+    def _of(cls, arr: np.ndarray, dim: int) -> "StateVector":
+        """Wrap a fresh package array as ``Multivector._of`` does."""
+        sv = cls.__new__(cls)
+        sv._amps, sv._dim = _frozen(arr, "amplitudes"), dim
+        return sv
 
     @property
     def dim(self) -> int:
@@ -52,7 +64,7 @@ class StateVector:
             raise ValueError(f"basis index out of range: {index}")
         arr = np.zeros(1 << dim)
         arr[index] = 1.0
-        return cls(arr, dim)
+        return cls._of(arr, dim)
 
     def __repr__(self) -> str:
         return f"StateVector(dim={self._dim})"
@@ -96,7 +108,7 @@ def _apply(gates, sv: StateVector) -> StateVector:
             n0 = m00 * a0 + m01 * a1  # taken before a1 is overwritten
             a1[...] = m10 * a0 + m11 * a1
             a0[...] = n0
-    return StateVector(amps, sv.dim)
+    return StateVector._of(amps, sv.dim)
 
 
 def sv_apply_gate(sv: StateVector, gate: Gate) -> StateVector:
@@ -119,7 +131,7 @@ def sv_teleport(alpha: float, beta: float) -> StateVector:
     amps = np.zeros(8)
     amps[0b000] = amps[0b110] = _as_float(alpha, "alpha") * _INV_SQRT2
     amps[0b001] = amps[0b111] = _as_float(beta, "beta") * _INV_SQRT2
-    return sv_apply_circuit(teleport_network(), StateVector(amps, 3))
+    return sv_apply_circuit(teleport_network(), StateVector._of(amps, 3))
 
 
 def equivalence_check(

@@ -342,6 +342,23 @@ def test_geometric_product_matches_symbolic_oracle_exactly(dim, nnz_a, nnz_b):
     assert np.array_equal(got.coeffs, _oracle_product(a, b))
 
 
+@pytest.mark.parametrize("dim", range(1, algebra._ALL_PAIRS_MAX_DIM + 1))
+def test_table_product_matches_the_oracle_bit_for_bit_at_the_float_edges(dim):
+    # np.array_equal reads -0.0 as 0.0; the bytes tell them apart.  Entries
+    # are signed zeros, subnormals and magnitudes up to 1e+-150, so pair
+    # products underflow to signed zeros but never overflow
+    edges = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310])
+    rng = np.random.default_rng(500 + dim)
+    for _ in range(40):
+        a, b = (rng.normal(size=1 << dim) * 10.0 ** rng.integers(-150, 151, 1 << dim)
+                for _ in range(2))
+        for coeffs in (a, b):
+            at = rng.random(coeffs.size) < 0.4
+            coeffs[at] = rng.choice(edges, np.count_nonzero(at))
+        got = geometric_product(Multivector(a, dim), Multivector(b, dim)).coeffs
+        assert got.tobytes() == _oracle_product(a, b).tobytes()
+
+
 def test_oracle_cases_reach_every_path_of_the_product():
     dims = {dim for dim, _, _ in ORACLE_CASES}
     assert min(dims) <= algebra._ALL_PAIRS_MAX_DIM < max(dims)

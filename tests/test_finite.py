@@ -15,12 +15,12 @@ import math
 import numpy as np
 import pytest
 
-from combcube.algebra import Multivector, _all_finite
-from combcube.coding import LatticeMultivector, lattice_from_json
-from combcube.gates import (Gate, apply_circuit, apply_circuit_lattice, apply_gate, teleport,
-                            teleport_network)
+from combcube.algebra import Multivector, _all_finite, geometric_product, grade_projection
+from combcube.coding import LatticeMultivector, bell_carrier, encode, lattice_from_json
+from combcube.gates import (Circuit, Gate, apply_circuit, apply_circuit_lattice, apply_gate,
+                            teleport, teleport_network)
 from combcube.render import lattice_scene
-from combcube.statevector import StateVector, sv_apply_gate
+from combcube.statevector import StateVector, sv_apply_circuit, sv_apply_gate, sv_teleport
 
 BAD = (math.nan, math.inf, -math.inf)
 # finite values at the edges of float64: signed zeros, the smallest
@@ -95,10 +95,48 @@ def _assert_owned_and_frozen(arr: np.ndarray) -> None:
         arr[(0,) * arr.ndim] = math.nan
 
 
+def _package_results():
+    """(name, result, operand arrays) for every result the package wraps
+    from an array it made, without a second read as outside input."""
+    a = Multivector([1.0, -2.0, 0.5, 0.0, -0.0, 3.0, 1e-300, -4.0], 3)
+    b = Multivector.blade(0b110, 3, -1.5)
+    a6, b6 = Multivector(np.arange(64.0), 6), Multivector(np.arange(64.0)[::-1], 6)
+    lat = LatticeMultivector({(0,): a, (1, 2): b})
+    sv = StateVector(np.linspace(-1.0, 1.0, 8), 3)
+    yield "a * b", geometric_product(a, b), (a.coeffs, b.coeffs)
+    yield "Cl(6) a * b", geometric_product(a6, b6), (a6.coeffs, b6.coeffs)
+    yield "a + b", a + b, (a.coeffs, b.coeffs)
+    yield "a - b", a - b, (a.coeffs, b.coeffs)
+    yield "-a", -a, (a.coeffs,)
+    yield "a * 2", a * 2, (a.coeffs,)
+    yield "2 * a", 2 * a, (a.coeffs,)
+    yield "a / 2", a / 2, (a.coeffs,)
+    yield "grade 1 of a", grade_projection(a, 1), (a.coeffs,)
+    yield "blade", Multivector.blade(0b101, np.int64(3), 2.0), ()
+    yield "zero", Multivector.zero(3), ()
+    yield "encode", encode({"101": 1.0}, np.int64(3)), ()
+    yield "apply_gate H1", apply_gate(a, Gate("H", 1)), (a.coeffs,)
+    yield "apply_gate X2", apply_gate(a, Gate("X", 2)), (a.coeffs,)
+    # no step runs, so the engine's output is the operand's own array
+    yield "apply_circuit of no gates", apply_circuit(Circuit(()), a), (a.coeffs,)
+    yield "teleport", teleport(0.6, 0.8), (bell_carrier().coeffs,)
+    yield "lattice get", lat.get((1, 2, 0)), (lat._block,)
+    for cell, mv in lat.items():
+        yield f"lattice item {cell}", mv, (lat._block,)
+    yield "sv_apply_gate H1", sv_apply_gate(sv, Gate("H", 1)), (sv.amps,)
+    yield "sv_apply_circuit of no gates", sv_apply_circuit((), sv), (sv.amps,)
+    yield "sv_teleport", sv_teleport(0.6, 0.8), ()
+    yield "basis", StateVector.basis(5, np.int64(3)), ()
+
+
 def test_checked_arrays_own_their_data_and_are_read_only():
     # Multivector and StateVector input of every shape is covered in
     # test_algebra.py and test_statevector.py
-    _assert_owned_and_frozen(teleport(0.6, 0.8).coeffs)
+    for name, result, operands in _package_results():
+        arr = result.coeffs if isinstance(result, Multivector) else result.amps
+        _assert_owned_and_frozen(arr)
+        assert not any(np.shares_memory(arr, op) for op in operands), name
+        assert type(result.dim) is int, name
     text = json.dumps({"1,0": {"000": 1.0}, "0": {"100": -2.0}})
     for lat in (lattice_from_json(text), LatticeMultivector({(2,): Multivector.scalar(1.0, 3)})):
         _assert_owned_and_frozen(lat._block)
@@ -114,6 +152,8 @@ _OVERFLOWS = {
     "1e300 * 1e300": lambda: Multivector([1e300] * 8, 3) * 1e300,
     "big + big": lambda: _BIG + _BIG,
     "big - (-big)": lambda: _BIG - (-_BIG),
+    "Cl(6) product past the float range": lambda: geometric_product(
+        Multivector([1e200] * 64, 6), Multivector([1e200] * 64, 6)),
 }
 
 
