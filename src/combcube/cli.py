@@ -62,7 +62,8 @@ from .statevector import (
 
 _MARGIN = 20.0
 _MAX_FITTED_SIDE = 2**31 - 1  # the largest side a fitted viewport may have
-_MAX_TRIALS = 1_000_000  # 1,000 trials take about 1.5 s, so this is about half an hour
+# 1,000 trials take 0.66 s and 10,000 take 4.6 s (2-core Xeon), so this is about 8 minutes
+_MAX_TRIALS = 1_000_000
 
 
 class _Parser(argparse.ArgumentParser):

@@ -14,12 +14,12 @@ on bits 1 and 2, and a sparse immutable lattice of dim-3 multivectors
 keyed by integer cell indices.  A lattice is stored as its sorted cell
 indices and one read-only (ncells, 8) coefficient block, row i holding
 cell i; the JSON codecs, the gates and the renderer work on the block,
-and Multivectors are built only when a cell is looked up.  A cell of 1
+and Multivectors are built only when ``items`` is read.  A cell of 1
 to 3 indices sits at the grid place (i, j, k) it pads to with zeros.
 Every lattice comes from one builder, which rejects two cells at one
-place and keeps a place -> row index; ``get``, ``in`` and ``set`` pad
-the cell they are given and make one lookup there, so ``set`` on a
-held place replaces that row under the stored spelling.
+place.  ``set`` pads the cell it is given and scans the held cells for
+that place, so on a held place it replaces that row under the stored
+spelling.
 
 The lattice reader checks each cell key and table in file order.  The
 common case is recognised by exact type first: a key that parses to
@@ -219,17 +219,16 @@ def _cell_coeffs(cell: tuple[int, ...], mv) -> np.ndarray:
 class LatticeMultivector:
     """Immutable sparse map from cell index to a dim-3 multivector.
 
-    Cells not present read as the zero multivector; updates return a
-    new lattice and leave the original untouched.  Two cells that are
-    equal after zero-padding to three indices, such as (0, 0) and
-    (0, 0, 0), would be drawn at one place, so they are an error, and
-    lookups pad the same way: on a lattice holding (0, 0), ``get`` and
-    ``in`` find it as (0, 0, 0) too, and ``set`` at (0, 0, 0) replaces
-    it and keeps the spelling (0, 0).  Each index lies within
-    +-MAX_CELL_INDEX.
+    Cells are read through ``items`` and ``cell_indices``, in sorted
+    order; updates return a new lattice and leave the original
+    untouched.  Two cells that are equal after zero-padding to three
+    indices, such as (0, 0) and (0, 0, 0), would be drawn at one place,
+    so they are an error, and ``set`` pads the same way: on a lattice
+    holding (0, 0), ``set`` at (0, 0, 0) replaces it and keeps the
+    spelling (0, 0).  Each index lies within +-MAX_CELL_INDEX.
     """
 
-    __slots__ = ("_cells", "_block", "_index")
+    __slots__ = ("_cells", "_block")
 
     def __init__(self, cells: Mapping | None = None):
         if cells is not None and not isinstance(cells, Mapping):
@@ -245,29 +244,25 @@ class LatticeMultivector:
 
         ``cells`` are checked indices in input order and ``block`` their
         finite (n, 8) rows.  Two cells at one grid place are an error
-        naming both, in input order.  The cells are then sorted, the
-        rows follow them into a read-only block, and the place -> row
-        dict of the check, renumbered, is kept as the lookup index.
+        naming both, in input order.  The cells are then sorted and the
+        rows follow them into a read-only block.
         """
-        places = [_padded(cell) for cell in cells]
-        index: dict[tuple[int, int, int], int] = {}
-        for row, place in enumerate(places):
-            first = index.setdefault(place, row)
+        rows: dict[tuple[int, int, int], int] = {}  # place -> its first row
+        for row, cell in enumerate(cells):
+            first = rows.setdefault(_padded(cell), row)
             if first != row:
                 raise ValueError(f"cells {cells[first]} and {cells[row]} are the same cell")
         order = sorted(range(len(cells)), key=cells.__getitem__)
-        for row, i in enumerate(order):
-            index[places[i]] = row
         block = block[order]
         block.setflags(write=False)
-        self._cells, self._block, self._index = tuple([cells[i] for i in order]), block, index
+        self._cells, self._block = tuple([cells[i] for i in order]), block
         return self
 
     def _with_block(self, block: np.ndarray) -> "LatticeMultivector":
-        """These cells and their index over ``block``, new finite rows in the same order."""
+        """These cells over ``block``, new finite rows in the same order."""
         lat = LatticeMultivector.__new__(LatticeMultivector)
         block.setflags(write=False)
-        lat._cells, lat._block, lat._index = self._cells, block, self._index
+        lat._cells, lat._block = self._cells, block
         return lat
 
     def cell_indices(self) -> tuple[tuple[int, ...], ...]:
@@ -279,16 +274,11 @@ class LatticeMultivector:
             for cell, row in zip(self._cells, self._block)
         )
 
-    def get(self, cell) -> Multivector:
-        row = self._index.get(_padded(_as_cell(cell)))
-        if row is None:
-            return Multivector.zero(_LATTICE_DIM)
-        return Multivector._of(self._block[row].copy(), _LATTICE_DIM)
-
     def set(self, cell, mv: Multivector) -> "LatticeMultivector":
         cell = _as_cell(cell)
         coeffs = _cell_coeffs(cell, mv)
-        row = self._index.get(_padded(cell))
+        place = _padded(cell)
+        row = next((r for r, held in enumerate(self._cells) if _padded(held) == place), None)
         if row is None:
             return LatticeMultivector.__new__(LatticeMultivector)._build(
                 [*self._cells, cell], np.vstack([self._block, coeffs]))
@@ -298,9 +288,6 @@ class LatticeMultivector:
 
     def __len__(self) -> int:
         return len(self._cells)
-
-    def __contains__(self, cell) -> bool:
-        return _padded(_as_cell(cell)) in self._index
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LatticeMultivector):
@@ -357,21 +344,16 @@ def multivector_to_json(mv: Multivector) -> str:
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
-def multivector_from_json(text: str, dim: int | None = None) -> Multivector:
+def multivector_from_json(text: str) -> Multivector:
     obj = _load_json(text)
     if not isinstance(obj, dict):
         raise ValueError("coefficient table must be a JSON object")
     if not obj:
-        if dim is None:
-            raise ValueError("cannot infer dimension from an empty table")
-        return Multivector.zero(dim)
+        raise ValueError("cannot infer dimension from an empty table")
     lengths = {len(k) if isinstance(k, str) else -1 for k in obj}
     if len(lengths) != 1 or -1 in lengths:
         raise ValueError("table keys must be bit strings of one common length")
-    inferred = lengths.pop()
-    if dim is not None and dim != inferred:
-        raise ValueError(f"table is dimension {inferred}, expected {dim}")
-    return encode(obj, inferred)
+    return encode(obj, lengths.pop())
 
 
 # ASCII integers joined by commas: no "+", space, "_" or non-ASCII digit,

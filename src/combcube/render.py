@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import FrozenInstanceError, dataclass, fields
 from functools import cache, cached_property
-from itertools import chain
 from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple
 
@@ -88,6 +87,7 @@ class CubeStyle:
     Lengths are SVG user units.  The background field is a hue, kept at
     the hue of zero so unset coefficients blend into the backdrop.  Each
     numeric field is read by the real-number rule and stored as a float.
+    Opacities are fixed: walls draw at 0.8 and the interior body at 0.35.
     """
 
     mode: str = "redundant"
@@ -97,8 +97,6 @@ class CubeStyle:
     edge: float = 100.0
     stroke_width: float = 3.0
     corner_radius: float = 5.0
-    wall_opacity: float = 0.8
-    interior_opacity: float = 0.35
 
     def __post_init__(self):
         if not isinstance(self.mode, str) or self.mode not in _MODES:
@@ -111,9 +109,6 @@ class CubeStyle:
             raise ValueError("foreshortening must lie in (0, 1]")
         if self.edge <= 0.0 or self.stroke_width <= 0.0 or self.corner_radius <= 0.0:
             raise ValueError("edge, stroke width and corner radius must be positive")
-        for name in ("wall_opacity", "interior_opacity"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
 
 
 _STYLE_NUMBERS = tuple(f.name for f in fields(CubeStyle) if f.name != "mode")
@@ -147,9 +142,7 @@ class Disc:
     css_class: str
 
 
-# each kind's primitive and the CubeStyle field that sets its value
-_KINDS = {"wall": (Polygon, "wall_opacity"), "body": (Polygon, "interior_opacity"),
-          "edge": (Segment, "stroke_width"), "corner": (Disc, "corner_radius")}
+_KINDS = {"wall": Polygon, "body": Polygon, "edge": Segment, "corner": Disc}
 
 
 class _Row(NamedTuple):
@@ -254,9 +247,9 @@ def _box(points: np.ndarray) -> tuple:
 
 
 def _cube_table(style: CubeStyle) -> tuple:
-    return tuple(_Row(prim, cls, corners, ELEMENT_WORDS[cls], getattr(style, field))
-                 for kind, cls, corners in _ELEMENT_TABLES[style.mode]
-                 for prim, field in [_KINDS[kind]])
+    values = {"wall": 0.8, "body": 0.35, "edge": style.stroke_width, "corner": style.corner_radius}
+    return tuple(_Row(_KINDS[kind], cls, corners, ELEMENT_WORDS[cls], values[kind])
+                 for kind, cls, corners in _ELEMENT_TABLES[style.mode])
 
 
 def _cubes(block: np.ndarray, offsets: np.ndarray, style: CubeStyle | None, deformation) -> Scene:
@@ -309,18 +302,14 @@ def cube_scene(mv: Multivector, style: CubeStyle | None = None) -> Scene:
     return _cubes(mv.coeffs[None, :], np.zeros((1, 3)), style, None)
 
 
-def grid_placement(cells, spacing: float = 1.0) -> dict:
-    """Unit-grid placement: cell (i, j, k) sits at (i, j, k) * spacing.
+def grid_placement(cells) -> dict:
+    """Unit-grid placement: cell (i, j, k) sits at (float(i), float(j), float(k)).
 
     Cells are read as a lattice reads them, a bare integer k being the
     cell (k,), and shorter cells pad with zeros, so 2-index lattices lie
-    in the x-y plane.  ``spacing`` is any finite real, read as a float,
-    and an offset past the float range is a ValueError naming the cell.
+    in the x-y plane.  The spacing is fixed at one cube edge, and every
+    offset is a 3-tuple of plain floats.
     """
-    try:
-        spacing = _check_real(spacing, "spacing")
-    except ValueError:
-        raise ValueError(f"spacing must be a finite real number, got {spacing!r}") from None
     try:
         cells = iter(cells)
     except TypeError:
@@ -329,28 +318,24 @@ def grid_placement(cells, spacing: float = 1.0) -> dict:
     out = {}
     for cell in map(_as_cell, cells):
         i, j, k = _padded(cell)
-        out[cell] = (i * spacing, j * spacing, k * spacing)
-    # finite floats whose product overflows: one pass, then a search for the first cell
-    if math.inf in map(abs, chain.from_iterable(out.values())):
-        cell, offset = next((c, off) for c, off in out.items() if math.inf in map(abs, off))
-        raise ValueError(f"cell index {cell!r} at spacing {spacing!r} "
-                         f"gives a non-finite offset {offset!r}")
+        out[cell] = (float(i), float(j), float(k))
     return out
 
 
-def sine_warp(amplitude: float = 0.3, period: float = 4.0) -> Callable:
-    """Vertical ripple running along x + y; geometry moves, colors do not."""
-    amplitude, period = _check_real(amplitude, "amplitude"), _check_real(period, "period")
-    if period <= 0:
-        raise ValueError(f"period must be positive and finite, got {period!r}")
+def sine_warp() -> Callable:
+    """Vertical ripple running along x + y; geometry moves, colors do not.
+
+    A point (x, y, z) moves to (x, y, z + 0.3 * sin(2 pi (x + y) / 4)):
+    amplitude 0.3 and period 4 cube edges.
+    """
 
     def deform(p):
         x, y, z = p
         try:
-            return (x, y, z + amplitude * math.sin(math.tau * (x + y) / period))
+            return (x, y, z + 0.3 * math.sin(math.tau * (x + y) / 4.0))
         except ValueError:  # math.sin of an infinite phase
-            raise ValueError(f"sine_warp period {period!r} gives an infinite phase "
-                             f"at the point {tuple(p)!r}") from None
+            raise ValueError(
+                f"sine_warp gives an infinite phase at the point {tuple(p)!r}") from None
 
     return deform
 
@@ -421,8 +406,7 @@ def _row_template(table: tuple, npoints: int) -> tuple[list, list]:
             parts.append(f'\n<polygon class="{cls}" points="')
             for n, i in enumerate(idx):
                 parts += [" "] * (n > 0) + [i, ",", npoints + i]
-            opacity = "" if value >= 1.0 else f' fill-opacity="{value:g}"'
-            parts += ['" fill="', color, f'"{opacity}/>']
+            parts += ['" fill="', color, f'" fill-opacity="{value:g}"/>']
         elif kind is Segment:
             (i, j), (yi, yj) = idx, (npoints + idx[0], npoints + idx[1])
             parts += [f'\n<line class="{cls}" x1="', i, '" y1="', yi, '" x2="', j, '" y2="', yj,

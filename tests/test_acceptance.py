@@ -245,10 +245,11 @@ def test_criterion_8_lattice_teleportation():
     lat = LatticeMultivector(product_cells)
     out = apply_circuit_lattice(teleport_network(), lat)
 
-    cellwise_ok = True
+    cellwise_ok = out.cell_indices() == lat.cell_indices()
     dev = 0.0
+    read = dict(out.items())
     for cell, (alpha, beta) in payloads.items():
-        got = out.get(cell)
+        got = read[cell]
         cellwise_ok = cellwise_ok and got == teleport(alpha, beta)
         expected = np.zeros(8)
         expected[comb("000")] = alpha

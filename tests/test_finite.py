@@ -120,7 +120,6 @@ def _package_results():
     # no step runs, so the engine's output is the operand's own array
     yield "apply_circuit of no gates", apply_circuit(Circuit(()), a), (a.coeffs,)
     yield "teleport", teleport(0.6, 0.8), (bell_carrier().coeffs,)
-    yield "lattice get", lat.get((1, 2, 0)), (lat._block,)
     for cell, mv in lat.items():
         yield f"lattice item {cell}", mv, (lat._block,)
     yield "sv_apply_gate H1", sv_apply_gate(sv, Gate("H", 1)), (sv.amps,)

@@ -273,9 +273,7 @@ def test_apply_circuit_lattice_is_cellwise():
     b = encode({"100": 1.0}, 3)
     lat = LatticeMultivector({(0,): a, (1,): b})
     flipped = apply_circuit_lattice([Gate("X", 1)], lat)
-    assert flipped.get((0,)) == b
-    assert flipped.get((1,)) == a
-    assert len(flipped) == 2
+    assert flipped.items() == (((0,), b), ((1,), a))
 
 
 def test_apply_circuit_lattice_commutes_with_set_order():
@@ -565,8 +563,8 @@ def test_compiled_lattice_circuits_match_one_gate_at_a_time_bit_for_bit():
     for circuit in circuits:
         out = apply_circuit_lattice(circuit, lat)
         want = _one_gate_at_a_time(circuit, block)
-        for i, row in enumerate(want):
-            assert out.get((i,)).coeffs.tobytes() == row.tobytes(), [g.label() for g in circuit]
+        for (cell, mv), row in zip(out.items(), want, strict=True):
+            assert mv.coeffs.tobytes() == row.tobytes(), [cell, *(g.label() for g in circuit)]
 
 
 def test_gate_pairs_that_cancel_run_as_the_identity_bit_for_bit():

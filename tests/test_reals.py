@@ -4,9 +4,8 @@
 ``algebra._as_float`` converts such a value, reading an int beyond the
 float range as +-inf; ``algebra._check_real`` also demands a finite
 value.  Every numeric parameter of the colour map, the cube style, the
-grid placement, the lattice offsets, the warp, the two teleport entry
-points and the multivector coefficients and scalar operands goes
-through them.  Outside arrays go through ``algebra._real_array``, which
+lattice offsets, the two teleport entry points and the multivector
+coefficients and scalar operands goes through them.  Outside arrays go through ``algebra._real_array``, which
 applies the same rule to each entry: multivector coefficients,
 state-vector amplitudes and deformation results.  So a value either acts exactly as
 ``float(value)`` does, or it is a ValueError that names the parameter
@@ -38,7 +37,6 @@ from combcube.render import (
     emit_svg,
     grid_placement,
     lattice_scene,
-    sine_warp,
 )
 from combcube.statevector import StateVector, equivalence_check, sv_teleport
 
@@ -53,7 +51,7 @@ _VALUES = st.one_of(
     st.integers(-BIG, BIG),
     st.sampled_from([BIG, -BIG, 2**1024, 2**1024 - 2**970, 10**308, 0, 1, 3]),
     st.booleans(),
-    st.floats(-2.0, 2.0),  # where the bounded parameters (hues, opacities) live
+    st.floats(-2.0, 2.0),  # where the bounded parameters (hues, foreshortening) live
     st.floats(width=32).map(np.float32),
     st.floats(-2.0, 2.0, width=32).map(np.float32),
     st.floats().map(np.float64),
@@ -97,16 +95,10 @@ _PARAMETERS = {
     **{f"CubeStyle.{name}": (lambda v, name=name: _cube(**{name: v}),
                              name.replace("_", "[_ ]"), _plain_float)
        for name in ("background", "angle_deg", "foreshortening", "edge", "stroke_width",
-                    "corner_radius", "wall_opacity", "interior_opacity")},
-    "grid_placement.spacing": (lambda v: grid_placement([(1, 2), (3,), (-2, 0, 1)], v),
-                               "spacing", _plain_float),
+                    "corner_radius")},
     "lattice_scene.offset": (lambda v: _lattice(placement={(0, 0): (v, 0.0),
                                                            (1, 0): (1.0, 0.5, v)}),
                              "offset|cube corners must be finite", _plain_float),
-    "sine_warp.amplitude": (lambda v: _lattice(deformation=sine_warp(amplitude=v)),
-                            "amplitude", _plain_float),
-    "sine_warp.period": (lambda v: _lattice(deformation=sine_warp(period=v)),
-                         "period", _plain_float),
     "teleport.alpha": (lambda v: teleport(v, 0.8).coeffs.tobytes(),
                        "alpha|coefficients must be finite", _plain_float),
     "teleport.beta": (lambda v: teleport(0.6, v).coeffs.tobytes(),
@@ -173,18 +165,12 @@ _PROBES = {
     "x_of_nu(10**400)": (lambda: x_of_nu(BIG), "hue must lie in [0, 1), got inf"),
     "nu_of_x(True)": (lambda: nu_of_x(True), "value must be a real number, got True"),
     "nu_of_x('0.5')": (lambda: nu_of_x("0.5"), "value must be a real number, got '0.5'"),
-    "sine_warp('1')": (lambda: sine_warp("1"), "amplitude must be a real number, got '1'"),
-    "sine_warp(10**400)": (lambda: sine_warp(BIG), "amplitude must be finite, got inf"),
-    "sine_warp(period=True)": (lambda: sine_warp(period=True),
-                               "period must be a real number, got True"),
     "CubeStyle(edge=10**400)": (lambda: CubeStyle(edge=BIG), "edge must be finite, got inf"),
     "CubeStyle(edge=None)": (lambda: CubeStyle(edge=None), "edge must be a real number, got None"),
     "CubeStyle(edge='abc')": (lambda: CubeStyle(edge="abc"),
                               "edge must be a real number, got 'abc'"),
     "CubeStyle(stroke_width='3')": (lambda: CubeStyle(stroke_width="3"),
                                     "stroke_width must be a real number, got '3'"),
-    "CubeStyle(wall_opacity='0.5')": (lambda: CubeStyle(wall_opacity="0.5"),
-                                      "wall_opacity must be a real number, got '0.5'"),
     # a cell is read as a lattice reads it: integers only
     "grid_placement nan cell": (lambda: grid_placement([(math.nan, 0)]),
                                 "cell index must hold 1 to 3 integers, got (nan, 0)"),
@@ -286,9 +272,9 @@ def test_emit_svg_rejects_a_size_past_the_float_range_by_name():
 
 
 def test_a_cube_style_stores_each_number_as_its_float():
-    style = CubeStyle(edge=np.int64(60), stroke_width=Fraction(3, 2), wall_opacity=np.float32(0.5))
-    assert [type(getattr(style, f.name)) for f in fields(style) if f.name != "mode"] == [float] * 8
-    assert (style.edge, style.stroke_width, style.wall_opacity) == (60.0, 1.5, 0.5)
+    style = CubeStyle(edge=np.int64(60), stroke_width=Fraction(3, 2), corner_radius=np.float32(0.5))
+    assert [type(getattr(style, f.name)) for f in fields(style) if f.name != "mode"] == [float] * 6
+    assert (style.edge, style.stroke_width, style.corner_radius) == (60.0, 1.5, 0.5)
     assert _cube(stroke_width=Fraction(3, 2)) == _cube(stroke_width=1.5)
 
 
@@ -371,15 +357,3 @@ def test_numpy_and_fraction_scalars_give_the_bytes_of_their_float(s):
     for call in _SCALED.values():
         assert call(s) == call(float(s))
 
-
-@pytest.mark.parametrize("cells, spacing, given", [
-    ([(2**31 - 1,)], 1e300, "(2147483647,)"),
-    ([(0, 0), (2, -(2**31 - 1))], 1e300, "(2, -2147483647)"),
-    ([5], 1e308, "(5,)"),
-    ([(0, 0, np.int64(2**31 - 1))], 1e300, "(0, 0, 2147483647)"),
-])
-def test_grid_placement_names_a_cell_whose_offset_overflows(cells, spacing, given):
-    # the largest index times a spacing near the float range still overflows;
-    # the message names the cell as read, a bare int or numpy int as a tuple of ints
-    with pytest.raises(ValueError, match=f"^cell index {re.escape(given)} at spacing "):
-        grid_placement(cells, spacing)
