@@ -96,11 +96,36 @@ def hue_to_rgb(nu: float) -> RgbColor:
 
 # two uppercase hex digits for each 8-bit channel value
 _HEX_BYTE = tuple(f"{i:02X}" for i in range(256))
+# rgb_to_hex's text of the tuple colours it met last, emptied when full; the
+# cap is small because each entry keeps a colour and its text alive
+_HEX_CACHE_CAP = 1024
+_hex_cache: dict = {}
 
 
 def rgb_to_hex(color) -> str:
     """8-bit #RRGGBB form: each channel clamped to [0, 1], nan reading as
-    0, then scaled by 255 and rounded half up."""
+    0, then scaled by 255 and rounded half up.
+
+    A tuple colour, such as an ``RgbColor``, is kept in a cache of the
+    last colours converted: at most 1,024, emptied when full.  Tuples
+    that compare equal hold channels of equal float value, so a hit gives
+    the text the conversion would.  Other colours, such as lists and
+    arrays, are converted every time.
+    """
+    try:
+        text = _hex_cache.get(color)
+    except TypeError:  # unhashable: a list, an array, a tuple holding one
+        return _hex(color)
+    if text is None:
+        text = _hex(color)
+        if isinstance(color, tuple):  # immutable, so its text cannot change
+            if len(_hex_cache) >= _HEX_CACHE_CAP:
+                _hex_cache.clear()
+            _hex_cache[color] = text
+    return text
+
+
+def _hex(color) -> str:
     r, g, b = color
     r, g, b = float(r), float(g), float(b)
     return ("#" + _HEX_BYTE[int(r * 255.0 + 0.5) if 0.0 < r < 1.0 else 255 if r >= 1.0 else 0]

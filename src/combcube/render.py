@@ -13,11 +13,12 @@ interior body); representative mode draws the first element of each
 class.  Both modes read one element table: rows of (kind, class, corner
 numbers) in paint order.  A cube's 8 corners are offset, deformed and
 projected once, its 8 class colors are computed once, and every row
-picks its points and its color from those.  Deformation is one pass
-over every corner of the scene: one call per corner, then a single
-conversion of all the results to floats and one shape check.  The
-projection is oblique: x right, z up, y receding at a fixed angle with
-fixed foreshortening.
+picks its points and its color from those.  Cubes share corners, so
+deformation is called once per distinct world point, not once per
+corner (a deformation that keeps state sees fewer calls), and all the
+results go through a single conversion to floats and one shape check.
+The projection is oblique: x right, z up, y receding at a fixed angle
+with fixed foreshortening.
 Scenes list their primitives back to front, so emission is a single
 pass and byte-identical for identical inputs; within one emission each
 distinct coordinate is formatted once.
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import FrozenInstanceError, dataclass, fields
-from functools import cache, cached_property
+from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple
 
@@ -78,6 +79,8 @@ _ELEMENT_TABLES = {
                             if row[1] not in [r[1] for r in _CUBE_ROWS[:n]]),
 }
 _MODES = tuple(_ELEMENT_TABLES)
+# a world point (x, y, z) as one opaque 24-byte item, a key for its bits
+_POINT = np.dtype((np.void, 24))
 
 
 @dataclass(frozen=True)
@@ -258,9 +261,13 @@ def _cubes(block: np.ndarray, offsets: np.ndarray, style: CubeStyle | None, defo
     default): every scene's one builder.
 
     Cubes are painted far to near by receding offset, ties in row order.
-    Each cube's corners are offset, deformed (one call per corner, cube
-    after cube) and projected obliquely, x right, z up and y receding,
-    in the float order of e * (x + fx * y) and (-e) * (z + fy * y).
+    Each cube's corners are offset, deformed and projected obliquely, x
+    right, z up and y receding, in the float order of e * (x + fx * y)
+    and (-e) * (z + fy * y).  The deformation is called once per distinct
+    world point, in the order the points are first painted (cube after
+    cube, corners in number order), and each result goes to every corner
+    at that point; so a deformation that keeps state sees fewer calls
+    than there are corners.
     """
     if style is None:
         style = CubeStyle()
@@ -273,14 +280,21 @@ def _cubes(block: np.ndarray, offsets: np.ndarray, style: CubeStyle | None, defo
     colors = [[hues[c] for c in row] for row in rows]
     world = offsets[order][:, None, :] + _UNIT_CUBE
     if deformation is not None:
-        moved = [deformation(p) for p in map(tuple, world.reshape(-1, 3).tolist())]
+        # cubes share corners: each distinct point (by its 24 bytes) is
+        # deformed once, in the order it is first painted, and its result
+        # goes to every corner at that point
+        seen = {}
+        keys = world.reshape(-1, 3).view(_POINT).ravel().tolist()
+        at = [seen.setdefault(key, len(seen)) for key in keys]
+        distinct = np.frombuffer(b"".join(seen), dtype=np.float64).reshape(-1, 3)
+        moved = [deformation(p) for p in map(tuple, distinct.tolist())]
         try:
             points = _real_array(moved, "deformation")
         except ValueError:
             points = None
         if points is None or points.shape != (len(moved), 3):
             raise ValueError("deformation must return a 3-point")
-        world = points.reshape(world.shape)
+        world = points[at].reshape(world.shape)
     theta = math.radians(style.angle_deg)
     fx = style.foreshortening * math.cos(theta)
     fy = style.foreshortening * math.sin(theta)
@@ -442,9 +456,6 @@ def emit_svg(scene: Scene, width: int, height: int) -> str:
         x0, y0, x1, y1 = bbox
         dx = width / 2.0 - (x0 + x1) / 2.0
         dy = height / 2.0 - (y0 + y1) / 2.0
-    # keys that compare equal (0.0 and -0.0) give equal text, "-0.00" -> "0.00"
-    xs = cache(lambda x: _fmt(x + dx))
-    ys = cache(lambda y: _fmt(y + dy))
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -452,12 +463,18 @@ def emit_svg(scene: Scene, width: int, height: int) -> str:
         f'<rect class="background" x="0" y="0" width="{width}" height="{height}" '
         f'fill="{rgb_to_hex(scene.background)}"/>'
     ]
-    # a row always picks a literal and a color, so the pick gives a tuple
+    # a row always picks a literal and a color, and a table has more than
+    # one row, so both picks give tuples
     literals, order = _row_template(scene._table, scene._corners.shape[1])
-    pick, slots = itemgetter(*order), [row.slot for row in scene._table]
-    xy = scene._corners.transpose(2, 0, 1).tolist()
-    for px, py, colors in zip(*xy, scene._colors):
-        out.append("".join(pick([*map(xs, px), *map(ys, py),
-                                 *[rgb_to_hex(colors[s]) for s in slots], *literals])))
+    pick, slots = itemgetter(*order), itemgetter(*[row.slot for row in scene._table])
+    # each cube's x then y coordinates, shifted; each distinct value is
+    # formatted once, and values that compare equal (0.0 and -0.0) give
+    # equal text, "-0.00" -> "0.00"
+    corners = scene._corners
+    shifted = np.concatenate([corners[..., 0] + dx, corners[..., 1] + dy], axis=1)
+    values, at = np.unique(shifted, return_inverse=True)
+    texts = np.array([_fmt(v) for v in values.tolist()], dtype=object)
+    for xy, colors in zip(texts[at.reshape(shifted.shape)].tolist(), scene._colors):
+        out.append("".join(pick([*xy, *map(rgb_to_hex, slots(colors)), *literals])))
     out.append("\n</svg>\n")
     return "".join(out)

@@ -15,7 +15,6 @@ from combcube.coding import (
     LatticeMultivector,
     bell_basis,
     bell_carrier,
-    bits_to_key,
     comb,
     comb_bits,
     encode,

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from combcube import colorwheel
 from combcube.colorwheel import (
     POLE_NU,
     RgbColor,
@@ -272,6 +273,73 @@ def test_rgb_to_hex_raises_as_the_per_channel_formula_does(color):
         _hex_before_inlining(color)
     with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
         rgb_to_hex(color)
+
+
+# -- the colour cache -----------------------------------------------------------
+# rgb_to_hex answers a tuple colour it has met before from a bounded cache;
+# every answer must be the uncached formula's, _hex_before_inlining above.
+
+def _cached(color) -> bool:
+    return color in colorwheel._hex_cache
+
+
+_EQUAL_COLOURS = [
+    (RgbColor(1.0, 0.5, 0.0), (1.0, 0.5, 0.0)),
+    (RgbColor(1.0, 0.0, 0.0), (1, 0, 0)),
+    ((1.0, 0.0, 0.0), (True, False, 0)),
+    ((0.5, 0.25, 1.0), (np.float64(0.5), np.float64(0.25), np.float64(1.0))),
+    ((0.0, 0.0, 0.0), (-0.0, -0.0, -0.0)),
+    ((0.0, 1.0, -0.0), (-0.0, True, 0)),
+]
+
+
+@pytest.mark.parametrize("first, second", _EQUAL_COLOURS + [(b, a) for a, b in _EQUAL_COLOURS])
+def test_a_cached_colour_answers_an_equal_colour_of_another_type(first, second):
+    colorwheel._hex_cache.clear()
+    assert rgb_to_hex(first) == _hex_before_inlining(first)
+    assert _cached(second)  # equal, so the second call is a hit
+    assert rgb_to_hex(second) == _hex_before_inlining(second)
+    assert rgb_to_hex(first) == _hex_before_inlining(first)
+
+
+def test_nan_colours_read_as_the_formula_reads_them():
+    colorwheel._hex_cache.clear()
+    for color in [(math.nan, 0.5, 1.0), (math.nan, 0.5, 1.0), (np.float64("nan"), 0.5, 1.0),
+                  RgbColor(1.0, math.nan, -math.nan), (0.0, 0.5, 1.0)]:
+        for _ in range(2):
+            assert rgb_to_hex(color) == _hex_before_inlining(color)
+    same = (math.nan, 0.5, 1.0)
+    assert rgb_to_hex(same) == rgb_to_hex(same) == "#0080FF"
+
+
+def test_channels_one_ulp_either_side_of_each_step_are_cached_apart():
+    colorwheel._hex_cache.clear()
+    values = [v for k in range(256) for b in [k / 255.0]
+              for v in (math.nextafter(b, -math.inf), b, math.nextafter(b, math.inf))]
+    for _ in range(2):  # the second pass meets the first pass's colours
+        for v in values:
+            for color in ((v, 0.0, 1.0), RgbColor(1.0, v, 0.0), (0.0, 1.0, v)):
+                assert rgb_to_hex(color) == _hex_before_inlining(color)
+
+
+def test_lists_and_arrays_are_converted_every_time():
+    colorwheel._hex_cache.clear()
+    channels = [0.5, 0.0, 1.0]
+    for color in (channels, np.array(channels), (np.array(0.5), 0.0, 1.0)):
+        assert rgb_to_hex(color) == _hex_before_inlining(color) == "#8000FF"
+    assert not colorwheel._hex_cache
+    channels[0] = 1.0  # a list can change; its next text must follow
+    assert rgb_to_hex(channels) == "#FF00FF"
+
+
+def test_the_cache_holds_no_more_than_its_cap():
+    colorwheel._hex_cache.clear()
+    cap = colorwheel._HEX_CACHE_CAP
+    for n in range(cap + 1000):
+        color = (n / (cap + 1000), 0.5, 1.0)
+        assert rgb_to_hex(color) == _hex_before_inlining(color)
+        assert len(colorwheel._hex_cache) <= cap
+    assert _cached(color)
 
 
 def test_frozen_display_hexes():

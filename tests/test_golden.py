@@ -14,7 +14,9 @@ mode).  The ``render`` goldens draw the README example table in both
 modes and once with every geometry flag off its default.  A seeded
 32x32 lattice gives outputs of about 3 MB in all, so only their sha256
 digests are committed: its teleported lattice JSON and its warped
-``lattice-render`` SVG in both modes.
+``lattice-render`` SVG in both modes.  The warped ``lattice-render`` SVG
+of a seeded 128x128 lattice (about 50 MB) has a digest too; CI checks
+it, as a test it would take seconds.
 
 To rewrite the goldens at a commit whose outputs are trusted, run
 ``PYTHONPATH=src python tests/test_golden.py`` from the repository root.
@@ -93,6 +95,8 @@ DIGEST_SVG_CASES = {
         "--deformation", "sine-warp", "--mode", "representative"],
 }
 DIGEST_JSON = "lattice_32x32_teleported.json"
+# the digest of the warped 128x128 render, checked in CI
+DIGEST_128 = "lattice_128x128_warped.sha256"
 
 
 def _product(a, b):
@@ -206,6 +210,10 @@ def _write_goldens() -> None:
         for name in SVG_CASES:
             (GOLDEN / name).write_text(_svg(name, Path(tmp)))
         (GOLDEN / DIGEST_GOLDEN).write_text(_digests(Path(tmp)))
+        svg = _run_to_svg("lattice-render", lattice_to_json(_seeded_lattice(128, 128)),
+                          ["--deformation", "sine-warp"], Path(tmp))
+        name = DIGEST_128.removesuffix(".sha256") + ".svg"
+        (GOLDEN / DIGEST_128).write_text(f"{hashlib.sha256(svg.encode()).hexdigest()}  {name}\n")
 
 
 if __name__ == "__main__":

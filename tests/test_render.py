@@ -356,6 +356,54 @@ def test_deformation_sees_each_cube_corner_once(mode):
         lattice_scene(lat, style, deformation=lambda p: (p[0], p[1]))
 
 
+# four adjacent cells: 32 corners at 3 x 3 x 2 = 18 distinct points
+_SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
+
+
+def _corners_in_paint_order(cells):
+    """Every cube corner as a world point: cubes far row first, then in
+    index order, and each cube's corners in number order x + 2y + 4z."""
+    return [(i + float(c & 1), j + float(c >> 1 & 1), float(c >> 2))
+            for i, j in sorted(cells, key=lambda cell: (-cell[1], cell)) for c in range(8)]
+
+
+@pytest.mark.parametrize("mode", ["redundant", "representative"])
+def test_deformation_sees_each_shared_corner_once_in_paint_order(mode):
+    lat = LatticeMultivector({cell: _example_mv() for cell in _SQUARE})
+    style = CubeStyle(mode=mode)
+    seen = []
+
+    def lift(p):
+        x, y, z = p
+        return (x, y, z + 0.25 * x * y)
+
+    def record(p):
+        seen.append(p)
+        return lift(p)
+
+    scene = lattice_scene(lat, style, deformation=record)
+    assert seen == list(dict.fromkeys(_corners_in_paint_order(_SQUARE)))
+    assert len(seen) == 18
+    # every corner at a shared point takes that point's one result
+    project = _ref_projector(style)
+    want = [project(lift(p)) for p in _corners_in_paint_order(_SQUARE)]
+    assert scene._corners.tobytes() == np.array(want).tobytes()
+
+
+def test_a_deformation_that_raises_on_a_shared_point_names_the_first_painted():
+    lat = LatticeMultivector({cell: _example_mv() for cell in _SQUARE})
+
+    def refuse(p):
+        if p[0] + p[1] >= 2.0:
+            raise ValueError(f"no warp at {p!r}")
+        return p
+
+    # the first corner a per-corner pass would meet that refuses
+    first = next(p for p in _corners_in_paint_order(_SQUARE) if p[0] + p[1] >= 2.0)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'no warp at {first!r}')}$"):
+        lattice_scene(lat, deformation=refuse)
+
+
 def test_cube_scene_validation():
     with pytest.raises(TypeError):
         cube_scene("not a multivector")
