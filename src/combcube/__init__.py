@@ -37,11 +37,9 @@ from .gates import (
 )
 from .render import (
     CubeStyle,
-    Disc,
     ELEMENT_WORDS,
-    Polygon,
+    Element,
     Scene,
-    Segment,
     cube_scene,
     emit_svg,
     grid_placement,

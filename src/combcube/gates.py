@@ -16,11 +16,11 @@ and run the steps on the coefficient axis of an array of shape
 X and CX are one gather ``x[q]``, Z and CZ one sign flip ``s * x``
 with signs exactly +-1, and H is ``(x[q] + s * x) / sqrt(2)``, the X
 part plus the Z part.  Compiling reads per-dimension tables built once
-on first use (the words, and per bit the toggled words and the bit-set
-mask: 98 KiB at dim 10 and 9.5 MiB at dim 16); nothing is cached per
-circuit.  A non-finite value made on the way carries through to the
-end, where the Multivector check, or for a lattice one check of its
-whole coefficient block, rejects it.
+on first use (the words, and per bit the toggled words, the bit-set
+mask and its +-1 signs: 178 KiB at dim 10 and 17.5 MiB at dim 16);
+nothing is cached per circuit.  A non-finite value made on the way
+carries through to the end, where the Multivector check, or for a
+lattice one check of its whole coefficient block, rejects it.
 
 ``teleport_network`` is the six-gate sequence that moves a payload
 sitting on bit 1 across the entangled carrier on bits 2 and 3, landing
@@ -116,27 +116,24 @@ def _check_bit(dim: int, k: int, role: str = "target") -> int:
 
 
 @lru_cache(maxsize=None)
-def _bit_tables(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _bit_tables(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Read-only words, and per bit index b the words with bit b toggled
-    (``toggled[b]``) and the mask of words with bit b set (``masks[b]``).
+    (``toggled[b]``), the mask of words with bit b set (``masks[b]``) and
+    the +-1.0 signs that negate those words (``signs[b]``).
     """
     words = np.arange(1 << dim)
     shifts = np.arange(dim)[:, None]
-    tables = (words, words ^ (1 << shifts), (words >> shifts) & 1 != 0)
+    masks = (words >> shifts) & 1 != 0
+    tables = (words, words ^ (1 << shifts), masks, np.where(masks, -1.0, 1.0))
     for table in tables:
         table.setflags(write=False)
     return tables
 
 
-def _signs(flip) -> np.ndarray:
-    """+-1.0 signs from a negation mask."""
-    return np.where(flip, -1.0, 1.0)
-
-
 def _compile(gates, dim: int) -> tuple:
     """One step ``(q, s)`` per Gate on 2**dim coefficients: a gather
     index, a +-1 sign array, or both for H."""
-    words, toggled, masks = _bit_tables(dim)
+    words, toggled, masks, signs = _bit_tables(dim)
     steps = []
     for gate in _gates_of(gates):
         if not isinstance(gate, Gate):
@@ -149,11 +146,11 @@ def _compile(gates, dim: int) -> tuple:
         elif kind == "CX":
             steps.append((np.where(masks[c], toggled[b], words), None))
         elif kind == "Z":
-            steps.append((None, _signs(masks[b])))
+            steps.append((None, signs[b]))
         elif kind == "CZ":
-            steps.append((None, _signs(masks[b] & masks[c])))
+            steps.append((None, np.where(masks[c], signs[b], 1.0)))
         else:
-            steps.append((toggled[b], _signs(masks[b])))
+            steps.append((toggled[b], signs[b]))
     return tuple(steps)
 
 

@@ -11,12 +11,15 @@ special-cased away.
 Redundant mode draws every element (8 corners, 12 edges, 6 walls, one
 interior body); representative mode draws the first element of each
 class.  Both modes read one element table: rows of (kind, class, corner
-numbers) in paint order.  A cube's 8 corners are offset, deformed and
-projected once, its 8 class colors are computed once, and every row
-picks its points and its color from those.  Cubes share corners, so
-deformation is called once per distinct world point, not once per
-corner (a deformation that keeps state sees fewer calls), and all the
-results go through a single conversion to floats and one shape check.
+numbers) in paint order.  Walls and the body are drawn as SVG "polygon"s,
+edges as "line"s and corners as "circle"s, and ``Scene.elements`` names
+each drawable by that tag in one ``Element`` record.  A cube's 8 corners
+are offset, deformed and projected once, its 8 class colors are computed
+once, and every row picks its points and its color from those.  Cubes
+share corners, so deformation is called once per distinct world point,
+not once per corner (a deformation that keeps state sees fewer calls),
+and all the results go through a single conversion to floats and one
+shape check.
 The projection is oblique: x right, z up, y receding at a fixed angle
 with fixed foreshortening.
 Scenes list their primitives back to front, so emission is a single
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import FrozenInstanceError, dataclass, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple
 
@@ -117,41 +120,26 @@ class CubeStyle:
 _STYLE_NUMBERS = tuple(f.name for f in fields(CubeStyle) if f.name != "mode")
 
 
-@dataclass(frozen=True)
-class Polygon:
-    """A wall or the body of a cube, as ``Scene.elements`` gives it."""
+class Element(NamedTuple):
+    """One drawable of ``Scene.elements``: its SVG tag, "polygon" (a wall
+    or the body), "line" (an edge) or "circle" (a corner), with 4, 2 or 1
+    points, and its fill opacity, stroke width or radius as ``value``."""
+
+    tag: str
+    css_class: str
     points: tuple[tuple[float, float], ...]
     color: RgbColor
-    opacity: float
-    css_class: str
+    value: float
 
 
-@dataclass(frozen=True)
-class Segment:
-    """An edge of a cube, as ``Scene.elements`` gives it."""
-    start: tuple[float, float]
-    end: tuple[float, float]
-    color: RgbColor
-    width: float
-    css_class: str
-
-
-@dataclass(frozen=True)
-class Disc:
-    """A corner of a cube, as ``Scene.elements`` gives it."""
-    center: tuple[float, float]
-    radius: float
-    color: RgbColor
-    css_class: str
-
-
-_KINDS = {"wall": Polygon, "body": Polygon, "edge": Segment, "corner": Disc}
+# the SVG tag that draws each kind of table row
+_TAGS = {"wall": "polygon", "body": "polygon", "edge": "line", "corner": "circle"}
 
 
 class _Row(NamedTuple):
     """One primitive of a drawing table, drawn once per item of a scene."""
 
-    kind: type  # Polygon, Segment or Disc
+    tag: str  # "polygon", "line" or "circle"
     css_class: str
     points: tuple[int, ...]  # numbers of the item's points it joins
     slot: int  # which of the item's colors it takes
@@ -164,7 +152,8 @@ class Scene:
     Built only by ``cube_scene`` and ``lattice_scene``, and stored as
     arrays: the mode's element table, the cubes' projected corners as
     one (ncubes, 8, 2) array and each cube's 8 class colors (by blade
-    word).  ``elements`` is a read-only view, built on first read.
+    word).  ``elements`` is a read-only view, built on first read: one
+    ``Element`` per primitive, tagged "polygon", "line" or "circle".
     """
 
     def __init__(self, *args, **kwargs):
@@ -184,17 +173,12 @@ class Scene:
 
     @cached_property
     def elements(self) -> tuple:
-        """The drawables as Polygon, Segment and Disc, in paint order."""
+        """The drawables as Element records, in paint order."""
         out = []
         for pts, colors in zip(self._corners.tolist(), self._colors):
             pts = [tuple(p) for p in pts]
-            for kind, cls, idx, slot, value in self._table:
-                if kind is Polygon:
-                    out.append(Polygon(tuple([pts[i] for i in idx]), colors[slot], value, cls))
-                elif kind is Segment:
-                    out.append(Segment(pts[idx[0]], pts[idx[1]], colors[slot], value, cls))
-                else:
-                    out.append(Disc(pts[idx[0]], value, colors[slot], cls))
+            out += [Element(tag, cls, tuple([pts[i] for i in idx]), colors[slot], value)
+                    for tag, cls, idx, slot, value in self._table]
         return tuple(out)
 
     @property
@@ -216,7 +200,7 @@ class Scene:
         # between its extents, so the points themselves can all go in.
         boxes = [_box(self._corners)]
         # both modes draw corner discs: 8 in redundant mode, 1 in representative
-        discs = [row for row in self._table if row.kind is Disc]
+        discs = [row for row in self._table if row.tag == "circle"]
         centers = self._corners[:, [row.points[0] for row in discs]]
         radii = np.array([row.value for row in discs], dtype=np.float64)[:, None]
         with _quiet_float_errors():
@@ -251,7 +235,7 @@ def _box(points: np.ndarray) -> tuple:
 
 def _cube_table(style: CubeStyle) -> tuple:
     values = {"wall": 0.8, "body": 0.35, "edge": style.stroke_width, "corner": style.corner_radius}
-    return tuple(_Row(_KINDS[kind], cls, corners, ELEMENT_WORDS[cls], values[kind])
+    return tuple(_Row(_TAGS[kind], cls, corners, ELEMENT_WORDS[cls], values[kind])
                  for kind, cls, corners in _ELEMENT_TABLES[style.mode])
 
 
@@ -409,19 +393,22 @@ def _fmt(v: float) -> str:
     return "0.00" if s == "-0.00" else s
 
 
-def _row_template(table: tuple, npoints: int) -> tuple[list, list]:
+@lru_cache(maxsize=8)
+def _row_template(table: tuple, npoints: int) -> tuple[tuple, tuple]:
     """Literals and a pick order over an item's values: its x strings, its y
     strings, one color per row, then the literals.  Joined in that order,
-    they give the item's lines, each after a newline."""
+    they give the item's lines, each after a newline.  Kept per distinct
+    table (a mode, a stroke width and a corner radius), so the result is
+    shared."""
     parts = []  # literal text, or the index of one of the item's values
-    for r, (kind, cls, idx, _, value) in enumerate(table):
+    for r, (tag, cls, idx, _, value) in enumerate(table):
         color = 2 * npoints + r
-        if kind is Polygon:
+        if tag == "polygon":
             parts.append(f'\n<polygon class="{cls}" points="')
             for n, i in enumerate(idx):
                 parts += [" "] * (n > 0) + [i, ",", npoints + i]
             parts += ['" fill="', color, f'" fill-opacity="{value:g}"/>']
-        elif kind is Segment:
+        elif tag == "line":
             (i, j), (yi, yj) = idx, (npoints + idx[0], npoints + idx[1])
             parts += [f'\n<line class="{cls}" x1="', i, '" y1="', yi, '" x2="', j, '" y2="', yj,
                       '" stroke="', color, f'" stroke-width="{value:g}" stroke-linecap="round"/>']
@@ -431,7 +418,7 @@ def _row_template(table: tuple, npoints: int) -> tuple[list, list]:
     literals = {}  # each distinct text and its place among the literals
     base = 2 * npoints + len(table)
     order = [p if type(p) is int else base + literals.setdefault(p, len(literals)) for p in parts]
-    return list(literals), order
+    return tuple(literals), tuple(order)
 
 
 def emit_svg(scene: Scene, width: int, height: int) -> str:
@@ -440,7 +427,7 @@ def emit_svg(scene: Scene, width: int, height: int) -> str:
     Pure function of its arguments: identical scenes give identical
     bytes.  Colors come out as #RRGGBB fills and strokes, and every
     element carries its class name, so the text parses back losslessly.
-    The table becomes one row template per call, filled once per item.
+    Each distinct table becomes one row template, filled once per item.
     Cubes share corners, so each distinct coordinate is formatted once.
     """
     if not isinstance(scene, Scene):

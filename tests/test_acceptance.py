@@ -284,3 +284,5 @@ def test_public_surface_is_the_imported_names():
     assert not {"lattice_get", "lattice_set", "ModuleType", "isclose",
                 "circuit_to_json", "circuit_from_json"} & set(combcube.__all__)
     assert not {"inner_product", "outer_product", "decode"} & set(combcube.__all__)
+    assert not {"Polygon", "Segment", "Disc"} & set(combcube.__all__)
+    assert "Element" in combcube.__all__

@@ -23,8 +23,6 @@ from combcube.coding import LatticeMultivector, _key_words, _padded, lattice_fro
 from combcube.colorwheel import hue_to_rgb, rgb_to_hex
 from combcube.render import (
     CubeStyle,
-    Polygon,
-    Segment,
     cube_scene,
     emit_svg,
     grid_placement,
@@ -55,24 +53,24 @@ def _ref_emit_svg(scene, width, height):
         f'fill="{rgb_to_hex(scene.background)}"/>',
     ]
     rows = []
-    for kind, cls, idx, slot, value in scene._table:
-        if kind is Polygon:
+    for tag, cls, idx, slot, value in scene._table:
+        if tag == "polygon":
             attrs = "" if value >= 1.0 else f' fill-opacity="{value:g}"'
-        elif kind is Segment:
+        elif tag == "line":
             attrs = f' stroke-width="{value:g}" stroke-linecap="round"'
         else:
             attrs = f' r="{value:g}"'
-        rows.append((kind, cls, idx, slot, attrs))
+        rows.append((tag, cls, idx, slot, attrs))
     for pts, colors in zip(scene._corners.tolist(), scene._colors):
         px = [xs(x) for x, _ in pts]
         py = [ys(y) for _, y in pts]
         pairs = [f"{x},{y}" for x, y in zip(px, py)]
-        for kind, cls, idx, slot, attrs in rows:
+        for tag, cls, idx, slot, attrs in rows:
             color = rgb_to_hex(colors[slot])
-            if kind is Polygon:
+            if tag == "polygon":
                 lines.append(f'<polygon class="{cls}" points="{" ".join([pairs[i] for i in idx])}" '
                              f'fill="{color}"{attrs}/>')
-            elif kind is Segment:
+            elif tag == "line":
                 i, j = idx
                 lines.append(f'<line class="{cls}" x1="{px[i]}" y1="{py[i]}" x2="{px[j]}" '
                              f'y2="{py[j]}" stroke="{color}"{attrs}/>')
@@ -125,6 +123,17 @@ def test_cube_and_lattice_scenes_emit_as_the_former_loop(name):
     scene = _SCENES[name]()
     for width, height in ((1, 1), (200, 100), (641, 479)):
         assert emit_svg(scene, width, height) == _ref_emit_svg(scene, width, height)
+
+
+def test_row_templates_stay_within_their_cap_and_are_shared_as_tuples():
+    cap = render._row_template.cache_info().maxsize
+    scenes = [cube_scene(_MV, CubeStyle(mode=mode, stroke_width=1.0 + n))
+              for n in range(cap + 2) for mode in ("redundant", "representative")]
+    for scene in scenes + scenes[:1]:  # the first table again, after it was evicted
+        assert emit_svg(scene, 200, 100) == _ref_emit_svg(scene, 200, 100)
+        assert render._row_template.cache_info().currsize <= cap
+    literals, order = render._row_template(scenes[0]._table, 8)
+    assert type(literals) is tuple and type(order) is tuple
 
 
 def test_an_empty_scene_is_its_header_and_footer():

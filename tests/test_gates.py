@@ -583,11 +583,12 @@ def test_bit_tables_are_read_only_and_unchanged_by_compiling():
     for dim in (2, 3, 10):
         words = np.arange(1 << dim)
         shifts = np.arange(dim)[:, None]
-        want = (words, words ^ (1 << shifts), (words >> shifts) & 1 != 0)
+        masks = (words >> shifts) & 1 != 0
+        want = (words, words ^ (1 << shifts), masks, np.where(masks, -1.0, 1.0))
         for gates in ([Gate("Z", 1)] * 2, [Gate("CZ", 1, 2), Gate("Z", 1)],
                       [Gate("Z", 1), Gate("H", 1)], [Gate("X", 1), Gate("Z", 1)] * 2):
             _compile(gates, dim)
-            for table, expected in zip(_bit_tables(dim), want):
+            for table, expected in zip(_bit_tables(dim), want, strict=True):
                 assert not table.flags.writeable
                 assert table.dtype == expected.dtype
                 assert np.array_equal(table, expected)

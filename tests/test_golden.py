@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from combcube import render
 from combcube.algebra import Multivector, geometric_product
 from combcube.cli import run
 from combcube.coding import LatticeMultivector, lattice_to_json
@@ -186,6 +187,18 @@ def test_lattice_svg_matches_golden(tmp_path):
 @pytest.mark.parametrize("name", sorted(set(SVG_CASES) - {LATTICE_SVG_GOLDEN}))
 def test_svg_matches_golden(name, tmp_path):
     assert _svg(name, tmp_path) == (GOLDEN / name).read_text()
+
+
+def test_interleaved_styles_keep_their_golden_bytes(tmp_path):
+    # emit_svg keeps one row template per distinct table: three styles in
+    # turn, then the first again from the cache, each give their golden
+    names = ["readme_table_redundant.svg", "readme_table_representative.svg",
+             "readme_table_styled.svg", "readme_table_redundant.svg"]
+    render._row_template.cache_clear()
+    for name in names:
+        assert _svg(name, tmp_path) == (GOLDEN / name).read_text()
+    info = render._row_template.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 3, 3)
 
 
 def test_32x32_outputs_match_digests(tmp_path):

@@ -26,10 +26,8 @@ from combcube.render import (
     _ELEMENT_TABLES,
     ELEMENT_WORDS,
     CubeStyle,
-    Disc,
-    Polygon,
+    Element,
     Scene,
-    Segment,
     cube_scene,
     emit_svg,
     grid_placement,
@@ -510,9 +508,9 @@ def test_the_formatter_prints_edge_values_as_pinned(value, text):
 # -- the per-element reference ------------------------------------------------
 # The renderer as it was before scenes became arrays: each cube places,
 # deforms and projects its 8 corners in Python floats and builds one
-# Polygon, Segment or Disc per table row; the box and the emitter walk the
-# elements with isinstance checks.  The array scene must give the same
-# elements (signed zeros included), the same box and the same bytes.
+# Element per table row; the box and the emitter walk the elements by
+# tag.  The array scene must give the same elements (signed zeros
+# included), the same box and the same bytes.
 
 _REF_CORNERS = tuple((float(i & 1), float(i >> 1 & 1), float(i >> 2)) for i in range(8))
 
@@ -543,13 +541,12 @@ def _ref_cube_elements(mv, style, offset, deformation, project):
     elements = []
     for kind, cls, corners in _ELEMENT_TABLES[style.mode]:
         if kind == "edge":
-            elements.append(Segment(points[corners[0]], points[corners[1]], colors[cls],
-                                    style.stroke_width, cls))
+            tag, value = "line", style.stroke_width
         elif kind == "corner":
-            elements.append(Disc(points[corners[0]], style.corner_radius, colors[cls], cls))
+            tag, value = "circle", style.corner_radius
         else:
-            opacity = 0.8 if kind == "wall" else 0.35
-            elements.append(Polygon(tuple([points[i] for i in corners]), colors[cls], opacity, cls))
+            tag, value = "polygon", 0.8 if kind == "wall" else 0.35
+        elements.append(Element(tag, cls, tuple([points[i] for i in corners]), colors[cls], value))
     return elements
 
 
@@ -571,17 +568,14 @@ def _ref_lattice_elements(lat, style, placement, deformation):
 def _ref_bbox(elements):
     xs, ys = [], []
     for el in elements:
-        if isinstance(el, Polygon):
+        if el.tag == "circle":
+            (x, y), = el.points
+            xs.extend((x - el.value, x + el.value))
+            ys.extend((y - el.value, y + el.value))
+        else:
             for x, y in el.points:
                 xs.append(x)
                 ys.append(y)
-        elif isinstance(el, Segment):
-            for x, y in (el.start, el.end):
-                xs.append(x)
-                ys.append(y)
-        else:
-            xs.extend((el.center[0] - el.radius, el.center[0] + el.radius))
-            ys.extend((el.center[1] - el.radius, el.center[1] + el.radius))
     return (min(xs), min(ys), max(xs), max(ys)) if xs else None
 
 
@@ -601,19 +595,20 @@ def _ref_emit(background, elements, width, height):
         f'fill="{rgb_to_hex(background)}"/>',
     ]
     for el in elements:
-        if isinstance(el, Polygon):
+        if el.tag == "polygon":
             pts = " ".join(f"{fx(x)},{fy(y)}" for x, y in el.points)
-            opacity = "" if el.opacity >= 1.0 else f' fill-opacity="{el.opacity:g}"'
+            opacity = "" if el.value >= 1.0 else f' fill-opacity="{el.value:g}"'
             lines.append(f'<polygon class="{el.css_class}" points="{pts}" '
                          f'fill="{rgb_to_hex(el.color)}"{opacity}/>')
-        elif isinstance(el, Segment):
-            (x1, y1), (x2, y2) = el.start, el.end
+        elif el.tag == "line":
+            (x1, y1), (x2, y2) = el.points
             lines.append(f'<line class="{el.css_class}" x1="{fx(x1)}" y1="{fy(y1)}" '
                          f'x2="{fx(x2)}" y2="{fy(y2)}" stroke="{rgb_to_hex(el.color)}" '
-                         f'stroke-width="{el.width:g}" stroke-linecap="round"/>')
+                         f'stroke-width="{el.value:g}" stroke-linecap="round"/>')
         else:
-            lines.append(f'<circle class="{el.css_class}" cx="{fx(el.center[0])}" '
-                         f'cy="{fy(el.center[1])}" r="{el.radius:g}" '
+            (x, y), = el.points
+            lines.append(f'<circle class="{el.css_class}" cx="{fx(x)}" '
+                         f'cy="{fy(y)}" r="{el.value:g}" '
                          f'fill="{rgb_to_hex(el.color)}"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
@@ -658,13 +653,36 @@ def test_lattice_scene_matches_the_per_element_reference(case, width, height):
     assert emit_svg(lattice_scene(lat, style, placement, deformation), width, height) == svg
 
 
+_STYLES = (
+    CubeStyle(),
+    CubeStyle(angle_deg=40.0, edge=60.0, stroke_width=1.5, corner_radius=2.5),
+    CubeStyle(mode="representative"),
+    CubeStyle(mode="representative", angle_deg=40.0, edge=60.0, stroke_width=1.5,
+              corner_radius=2.5),
+)
+
+
 def test_cube_scene_matches_the_per_element_reference():
-    for style in (CubeStyle(), CubeStyle(mode="representative", angle_deg=40.0, edge=60.0)):
+    for style in _STYLES:
         mv = _example_mv()
         want = _ref_cube_elements(mv, style, (0.0, 0.0, 0.0), None, _ref_projector(style))
         scene = cube_scene(mv, style)
         assert repr(scene.elements) == repr(tuple(want))
         assert emit_svg(scene, 400, 300) == _ref_emit(scene.background, want, 400, 300)
+        # each tag's point count and value, read from the scene itself
+        for el in scene.elements:
+            assert type(el) is Element
+            assert len(el.points) == {"polygon": 4, "line": 2, "circle": 1}[el.tag]
+            if el.tag == "polygon":
+                assert el.css_class == "interior" or el.css_class.startswith("wall-")
+                assert el.value == (0.35 if el.css_class == "interior" else 0.8)
+            elif el.tag == "line":
+                assert el.css_class.startswith("edge-") and el.value == style.stroke_width
+            else:
+                assert el.css_class == "corner" and el.value == style.corner_radius
+        tags = collections.Counter(el.tag for el in scene.elements)
+        assert tags == ({"polygon": 7, "line": 12, "circle": 8} if style.mode == "redundant"
+                        else {"polygon": 4, "line": 3, "circle": 1})
 
 
 def test_cube_scene_stores_corner_arrays():
