@@ -45,6 +45,7 @@ from .gates import (_CONTROLLED, GATE_KINDS, Gate, apply_circuit, apply_gate, te
                     teleport_network)
 from .render import (
     _MODES,
+    _STYLE_NUMBERS,
     CubeStyle,
     cube_scene,
     emit_svg,
@@ -139,9 +140,7 @@ def _add_timings_flag(p: argparse.ArgumentParser) -> None:
 
 def _style_from_args(args) -> CubeStyle:
     # each render flag sets the CubeStyle field of its own name
-    names = ("mode", "background", "angle_deg", "foreshortening", "edge", "stroke_width",
-             "corner_radius")
-    return CubeStyle(**{name: getattr(args, name) for name in names})
+    return CubeStyle(**{name: getattr(args, name) for name in ("mode", *_STYLE_NUMBERS)})
 
 
 def _viewport(scene, args) -> tuple[int, int]:

@@ -38,7 +38,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .algebra import _INV_SQRT2, Multivector, _all_finite, _check_dim, _check_int, _is_int, _is_real
+from .algebra import _INV_SQRT2, Multivector, _check_dim, _check_int, _frozen, _is_int, _is_real
 
 _LATTICE_DIM = 3
 
@@ -243,26 +243,25 @@ class LatticeMultivector:
         """Every lattice's one builder; returns ``self``.
 
         ``cells`` are checked indices in input order and ``block`` their
-        finite (n, 8) rows.  Two cells at one grid place are an error
-        naming both, in input order.  The cells are then sorted and the
-        rows follow them into a read-only block.
+        (n, 8) rows.  The rows follow the sorted cells into a new block,
+        checked finite and frozen by ``_frozen``; then two cells at one
+        grid place are an error naming both, in input order.
         """
+        order = sorted(range(len(cells)), key=cells.__getitem__)
+        block = _frozen(block[order], "coefficients")
         rows: dict[tuple[int, int, int], int] = {}  # place -> its first row
         for row, cell in enumerate(cells):
             first = rows.setdefault(_padded(cell), row)
             if first != row:
                 raise ValueError(f"cells {cells[first]} and {cells[row]} are the same cell")
-        order = sorted(range(len(cells)), key=cells.__getitem__)
-        block = block[order]
-        block.setflags(write=False)
         self._cells, self._block = tuple([cells[i] for i in order]), block
         return self
 
     def _with_block(self, block: np.ndarray) -> "LatticeMultivector":
-        """These cells over ``block``, new finite rows in the same order."""
+        """These cells over ``block``, new rows in the same order that
+        nothing else holds, checked finite and frozen by ``_frozen``."""
         lat = LatticeMultivector.__new__(LatticeMultivector)
-        block.setflags(write=False)
-        lat._cells, lat._block = self._cells, block
+        lat._cells, lat._block = self._cells, _frozen(block, "coefficients")
         return lat
 
     def cell_indices(self) -> tuple[tuple[int, ...], ...]:
@@ -395,8 +394,8 @@ def lattice_from_json(text: str) -> LatticeMultivector:
     """Read a lattice file straight into its coefficient block.
 
     Each cell key is checked once and each table as :func:`encode`
-    checks it, with one finiteness check of the whole block; then, as
-    for every lattice, no two cells may be equal after zero-padding.
+    checks it; then, as for every lattice, the whole block is checked
+    finite once and no two cells may be equal after zero-padding.
     """
     obj = _load_json(text)
     if not isinstance(obj, dict):
@@ -412,7 +411,5 @@ def lattice_from_json(text: str) -> LatticeMultivector:
             raise ValueError(f"cell {key!r} must map to a coefficient table")
         _fill(coeffs, size * len(rows), table, _LATTICE_DIM)
         rows[cell] = len(rows)
-    block = np.array(coeffs)
-    if not _all_finite(block):
-        raise ValueError("coefficients must be finite")
-    return LatticeMultivector.__new__(LatticeMultivector)._build(list(rows), block.reshape(-1, size))
+    return LatticeMultivector.__new__(LatticeMultivector)._build(
+        list(rows), np.array(coeffs).reshape(-1, size))

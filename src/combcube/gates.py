@@ -10,9 +10,11 @@ left-multiplying by a generator would pick up blade-reordering signs
 and the action would no longer be bitwise.
 
 A gate is always a ``Gate``.  ``apply_gate``, ``apply_circuit`` and
-``apply_circuit_lattice`` compile their gates into one step per gate
-and run the steps on the coefficient axis of an array of shape
-(..., 2**dim):
+``apply_circuit_lattice`` each make one call to ``_run(gates, dim, x)``,
+the one core: it compiles the gates into one step per gate and runs the
+steps on the coefficient axis of an array of shape (..., 2**dim) with
+float warnings off once for the whole run, returning a fresh array (a
+copy of ``x`` for no gates):
 X and CX are one gather ``x[q]``, Z and CZ one sign flip ``s * x``
 with signs exactly +-1, and H is ``(x[q] + s * x) / sqrt(2)``, the X
 part plus the Z part.  Compiling reads per-dimension tables built once
@@ -37,8 +39,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import (_INV_SQRT2, Multivector, _all_finite, _as_float, _is_int,
-                      _quiet_float_errors, geometric_product)
+from .algebra import (_INV_SQRT2, Multivector, _as_float, _is_int, _quiet_float_errors,
+                      geometric_product)
 from .coding import _LATTICE_DIM, LatticeMultivector, bell_carrier
 
 GATE_KINDS = ("X", "Z", "H", "CX", "CZ")
@@ -154,47 +156,40 @@ def _compile(gates, dim: int) -> tuple:
     return tuple(steps)
 
 
-def _run(steps, x: np.ndarray) -> np.ndarray:
-    """Run compiled steps on the last axis of ``x``: a gather ``x[q]``,
-    a sign flip ``s * x``, or H as (X part + Z part) / sqrt(2).
+def _run(gates, dim: int, x: np.ndarray) -> np.ndarray:
+    """The gates compiled for ``dim`` and run on the last axis of ``x``,
+    first gate first: a gather ``x[q]``, a sign flip ``s * x``, or H as
+    (X part + Z part) / sqrt(2).  Returns a fresh array, a copy of ``x``
+    when there are no gates; a non-finite value is left to the caller.
     """
-    for q, s in steps:
-        if s is None:
-            x = x.take(q, axis=-1)
-        elif q is None:
-            x = s * x
-        else:
-            x = (x.take(q, axis=-1) + s * x) * _INV_SQRT2
-    return x
-
-
-def _apply(mv: Multivector, gates) -> Multivector:
-    if not isinstance(mv, Multivector):
-        raise TypeError("expected a Multivector")
+    steps = _compile(gates, dim)
     with _quiet_float_errors():
-        out = _run(_compile(gates, mv.dim), mv.coeffs)
-    # an empty circuit returns the operand's own array
-    return Multivector._of(out.copy() if out is mv.coeffs else out, mv.dim)
+        for q, s in steps:
+            if s is None:
+                x = x.take(q, axis=-1)
+            elif q is None:
+                x = s * x
+            else:
+                x = (x.take(q, axis=-1) + s * x) * _INV_SQRT2
+    return x if steps else x.copy()
 
 
 def apply_gate(mv: Multivector, gate: Gate) -> Multivector:
-    return _apply(mv, (gate,))
+    return apply_circuit((gate,), mv)
 
 
 def apply_circuit(circuit, mv: Multivector) -> Multivector:
     """Apply the gates to the state, first gate first."""
-    return _apply(mv, circuit)
+    if not isinstance(mv, Multivector):
+        raise TypeError("expected a Multivector")
+    return Multivector._of(_run(circuit, mv.dim, mv.coeffs), mv.dim)
 
 
 def apply_circuit_lattice(circuit, lat: LatticeMultivector) -> LatticeMultivector:
     """Apply one circuit to every occupied cell; cells never interact."""
     if not isinstance(lat, LatticeMultivector):
         raise TypeError("expected a LatticeMultivector")
-    with _quiet_float_errors():
-        out = _run(_compile(circuit, _LATTICE_DIM), lat._block)
-    if not _all_finite(out):
-        raise ValueError("coefficients must be finite")
-    return lat._with_block(out)
+    return lat._with_block(_run(circuit, _LATTICE_DIM, lat._block))
 
 
 _TELEPORT_NETWORK = Circuit((
@@ -209,8 +204,8 @@ _TELEPORT_NETWORK = Circuit((
 
 def _teleport_steps(x0, x1, x2, x3, x4, x5, x6, x7) -> list:
     """The six steps of the teleport network written out on the eight
-    coefficients, word by word: the float operations of ``_run`` on
-    ``_compile(_TELEPORT_NETWORK, 3)`` in the same order, so the bits are
+    coefficients, word by word: the float operations of
+    ``_run(_TELEPORT_NETWORK, 3, x)`` in the same order, so the bits are
     the same.  A gather is a renaming, the sign flip a unary minus and H
     ``(X part + Z part) * _INV_SQRT2``, with ``a - b`` for ``a + -b``.
     There is no indexing, so numpy columns ``block[:, w]`` work as well.

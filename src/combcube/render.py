@@ -10,9 +10,9 @@ special-cased away.
 
 Redundant mode draws every element (8 corners, 12 edges, 6 walls, one
 interior body); representative mode draws the first element of each
-class.  Both modes read one element table: rows of (kind, class, corner
-numbers) in paint order.  Walls and the body are drawn as SVG "polygon"s,
-edges as "line"s and corners as "circle"s, and ``Scene.elements`` names
+class.  Both modes read one element table: rows of (SVG tag, class,
+corner numbers) in paint order, "polygon" for the walls and the body,
+"line" for edges and "circle" for corners.  ``Scene.elements`` names
 each drawable by that tag in one ``Element`` record.  A cube's 8 corners
 are offset, deformed and projected once, its 8 class colors are computed
 once, and every row picks its points and its color from those.  Cubes
@@ -55,23 +55,23 @@ ELEMENT_WORDS = {
 }
 
 # Unit-cube corners are numbered x + 2y + 4z, coordinates 0 or 1.  Each
-# row of the element table is (kind, class, corner numbers); the rows are
-# in paint order, back to front.  With y receding to the upper right,
+# row of the element table is (SVG tag, class, corner numbers); the rows
+# are in paint order, back to front.  With y receding to the upper right,
 # the walls at z=0, y=1 and x=0 sit behind the cube body, and the
 # interior's fill is carried by the front-face (y=0) silhouette.
 _UNIT_CUBE = np.array([(i & 1, i >> 1 & 1, i >> 2) for i in range(8)], dtype=np.float64)
 _CUBE_ROWS = (
-    ("wall", "wall-xy", (0, 1, 3, 2)),
-    ("wall", "wall-xz", (2, 3, 7, 6)),
-    ("wall", "wall-yz", (0, 2, 6, 4)),
-    ("body", "interior", (0, 1, 5, 4)),
+    ("polygon", "wall-xy", (0, 1, 3, 2)),
+    ("polygon", "wall-xz", (2, 3, 7, 6)),
+    ("polygon", "wall-yz", (0, 2, 6, 4)),
+    ("polygon", "interior", (0, 1, 5, 4)),
     # the edge for b_k joins each two corners whose numbers differ only in bit k
-    *(("edge", cls, (c, c | ELEMENT_WORDS[cls])) for cls in ("edge-x", "edge-y", "edge-z")
+    *(("line", cls, (c, c | ELEMENT_WORDS[cls])) for cls in ("edge-x", "edge-y", "edge-z")
       for c in range(8) if not c & ELEMENT_WORDS[cls]),
-    ("wall", "wall-xy", (4, 5, 7, 6)),
-    ("wall", "wall-xz", (0, 1, 5, 4)),
-    ("wall", "wall-yz", (1, 3, 7, 5)),
-    *(("corner", "corner", (c,)) for c in range(8)),
+    ("polygon", "wall-xy", (4, 5, 7, 6)),
+    ("polygon", "wall-xz", (0, 1, 5, 4)),
+    ("polygon", "wall-yz", (1, 3, 7, 5)),
+    *(("circle", "corner", (c,)) for c in range(8)),
 )
 _ELEMENT_TABLES = {
     # every element: 6 walls, the body, 12 edges, 8 corners
@@ -130,10 +130,6 @@ class Element(NamedTuple):
     points: tuple[tuple[float, float], ...]
     color: RgbColor
     value: float
-
-
-# the SVG tag that draws each kind of table row
-_TAGS = {"wall": "polygon", "body": "polygon", "edge": "line", "corner": "circle"}
 
 
 class _Row(NamedTuple):
@@ -234,9 +230,9 @@ def _box(points: np.ndarray) -> tuple:
 
 
 def _cube_table(style: CubeStyle) -> tuple:
-    values = {"wall": 0.8, "body": 0.35, "edge": style.stroke_width, "corner": style.corner_radius}
-    return tuple(_Row(_TAGS[kind], cls, corners, ELEMENT_WORDS[cls], values[kind])
-                 for kind, cls, corners in _ELEMENT_TABLES[style.mode])
+    values = {"polygon": 0.8, "line": style.stroke_width, "circle": style.corner_radius}
+    return tuple(_Row(tag, cls, idx, ELEMENT_WORDS[cls], 0.35 if cls == "interior" else values[tag])
+                 for tag, cls, idx in _ELEMENT_TABLES[style.mode])
 
 
 def _cubes(block: np.ndarray, offsets: np.ndarray, style: CubeStyle | None, deformation) -> Scene:
@@ -394,13 +390,14 @@ def _fmt(v: float) -> str:
 
 
 @lru_cache(maxsize=8)
-def _row_template(table: tuple, npoints: int) -> tuple[tuple, tuple]:
-    """Literals and a pick order over an item's values: its x strings, its y
+def _row_template(table: tuple) -> tuple[tuple, tuple]:
+    """Literals and a pick order over a cube's values: its 8 x strings, 8 y
     strings, one color per row, then the literals.  Joined in that order,
-    they give the item's lines, each after a newline.  Kept per distinct
+    they give the cube's lines, each after a newline.  Kept per distinct
     table (a mode, a stroke width and a corner radius), so the result is
     shared."""
-    parts = []  # literal text, or the index of one of the item's values
+    npoints = len(_UNIT_CUBE)
+    parts = []  # literal text, or the index of one of the cube's values
     for r, (tag, cls, idx, _, value) in enumerate(table):
         color = 2 * npoints + r
         if tag == "polygon":
@@ -452,7 +449,7 @@ def emit_svg(scene: Scene, width: int, height: int) -> str:
     ]
     # a row always picks a literal and a color, and a table has more than
     # one row, so both picks give tuples
-    literals, order = _row_template(scene._table, scene._corners.shape[1])
+    literals, order = _row_template(scene._table)
     pick, slots = itemgetter(*order), itemgetter(*[row.slot for row in scene._table])
     # each cube's x then y coordinates, shifted; each distinct value is
     # formatted once, and values that compare equal (0.0 and -0.0) give

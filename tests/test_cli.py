@@ -293,6 +293,15 @@ def test_deeply_nested_json_is_a_usage_error(tmp_path, capsys, command, text):
     assert err == "error: JSON input nests too deeply\n"
 
 
+def test_lattice_render_reports_a_non_finite_value_before_a_cell_clash(tmp_path, capsys):
+    src = tmp_path / "lattice.json"
+    src.write_text('{"0": {"000": Infinity}, "0,0": {"000": 1.0}}')
+    dst = tmp_path / "x.svg"
+    assert run(["lattice-render", str(src), "--output", str(dst)]) == 2
+    assert capsys.readouterr() == ("", "error: coefficients must be finite\n")
+    assert not dst.exists()
+
+
 @pytest.mark.parametrize("index", [MAX_CELL_INDEX, -MAX_CELL_INDEX])
 def test_lattice_render_accepts_cell_indices_at_the_bound(tmp_path, capsys, index):
     src = tmp_path / "lattice.json"

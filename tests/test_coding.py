@@ -400,6 +400,8 @@ def _raises_exactly(message, fn, *args):
     ('{"0,0": {"010": "1.5"}}', "coefficient for '010' must be a real number"),
     ('{"0,0": {"100": 0.5, "001": ' + _HUGE + "}}", "coefficient for '001' must be finite"),
     ('{"0,0": {"000": NaN}}', "coefficients must be finite"),
+    # a non-finite value is reported before two cells at one place
+    ('{"0": {"000": Infinity}, "0,0": {"000": 1.0}}', "coefficients must be finite"),
     ('{"0,0": {"0000": 1.0}}', "expected 3 bits, got 4 in '0000'"),
     ('{"1,2,3,4": {"000": 1.0}}', "cell index must hold 1 to 3 integers, got (1, 2, 3, 4)"),
     ('{"2147483648": {"000": 1.0}}',

@@ -117,7 +117,7 @@ def _package_results():
     yield "encode", encode({"101": 1.0}, np.int64(3)), ()
     yield "apply_gate H1", apply_gate(a, Gate("H", 1)), (a.coeffs,)
     yield "apply_gate X2", apply_gate(a, Gate("X", 2)), (a.coeffs,)
-    # no step runs, so the engine's output is the operand's own array
+    # no step runs, so the core hands back a copy of the operand
     yield "apply_circuit of no gates", apply_circuit(Circuit(()), a), (a.coeffs,)
     yield "teleport", teleport(0.6, 0.8), (bell_carrier().coeffs,)
     for cell, mv in lat.items():
@@ -139,7 +139,13 @@ def test_checked_arrays_own_their_data_and_are_read_only():
     text = json.dumps({"1,0": {"000": 1.0}, "0": {"100": -2.0}})
     for lat in (lattice_from_json(text), LatticeMultivector({(2,): Multivector.scalar(1.0, 3)})):
         _assert_owned_and_frozen(lat._block)
-        _assert_owned_and_frozen(apply_circuit_lattice(teleport_network(), lat)._block)
+        held, one = lat.cell_indices()[0], Multivector.scalar(3.0, 3)
+        for name, made in (("the network", apply_circuit_lattice(teleport_network(), lat)),
+                           ("no gates", apply_circuit_lattice(Circuit(()), lat)),
+                           ("set at a held place", lat.set(held, one)),
+                           ("set at a new place", lat.set((7, 7), one))):
+            _assert_owned_and_frozen(made._block)
+            assert not np.shares_memory(made._block, lat._block), name
 
 
 _BIG = Multivector([1e308] * 8, 3)

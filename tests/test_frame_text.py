@@ -132,7 +132,7 @@ def test_row_templates_stay_within_their_cap_and_are_shared_as_tuples():
     for scene in scenes + scenes[:1]:  # the first table again, after it was evicted
         assert emit_svg(scene, 200, 100) == _ref_emit_svg(scene, 200, 100)
         assert render._row_template.cache_info().currsize <= cap
-    literals, order = render._row_template(scenes[0]._table, 8)
+    literals, order = render._row_template(scenes[0]._table)
     assert type(literals) is tuple and type(order) is tuple
 
 

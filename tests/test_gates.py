@@ -495,7 +495,7 @@ def test_teleport_matches_the_gate_engine_bit_for_bit(alpha, beta):
 def test_teleport_steps_on_block_columns_match_the_compiled_network_bit_for_bit():
     rng = np.random.default_rng(3300)
     block = _edge_coeffs(rng, (500, 8))
-    want = _run(_compile(teleport_network(), 3), block).tobytes()
+    want = _run(teleport_network(), 3, block).tobytes()
     assert np.stack(_teleport_steps(*block.T), axis=-1).tobytes() == want
     # and row by row on Python floats, as teleport runs it
     assert np.array([_teleport_steps(*row) for row in block.tolist()]).tobytes() == want
@@ -613,14 +613,13 @@ def test_compile_gives_one_step_per_gate(dim):
 
 def test_teleport_runs_its_six_gates_one_step_each_bit_for_bit():
     network = teleport_network()
-    steps = [_compile([gate], 3) for gate in network]
     for alpha in EDGE_PAYLOADS:
         for beta in EDGE_PAYLOADS:
             payload = np.zeros(8)
             payload[0b000], payload[0b001] = alpha, beta
             x = geometric_product(Multivector(payload, 3), bell_carrier()).coeffs
-            for step in steps:
-                x = _run(step, x)
+            for gate in network:
+                x = _run((gate,), 3, x)
             assert teleport(alpha, beta).coeffs.tobytes() == x.tobytes(), (alpha, beta)
 
 

@@ -539,13 +539,13 @@ def _ref_cube_elements(mv, style, offset, deformation, project):
             q = tuple(map(float, deformation(q)))
         points.append(project(q))
     elements = []
-    for kind, cls, corners in _ELEMENT_TABLES[style.mode]:
-        if kind == "edge":
-            tag, value = "line", style.stroke_width
-        elif kind == "corner":
-            tag, value = "circle", style.corner_radius
+    for tag, cls, corners in _ELEMENT_TABLES[style.mode]:
+        if tag == "line":
+            value = style.stroke_width
+        elif tag == "circle":
+            value = style.corner_radius
         else:
-            tag, value = "polygon", 0.8 if kind == "wall" else 0.35
+            value = 0.35 if cls == "interior" else 0.8
         elements.append(Element(tag, cls, tuple([points[i] for i in corners]), colors[cls], value))
     return elements
 
@@ -698,31 +698,31 @@ def test_cube_scene_stores_corner_arrays():
 
 # the two modes' rows as they were written out by hand, one table per mode
 _BACK_WALLS_AND_BODY = (
-    ("wall", "wall-xy", (0, 1, 3, 2)),
-    ("wall", "wall-xz", (2, 3, 7, 6)),
-    ("wall", "wall-yz", (0, 2, 6, 4)),
-    ("body", "interior", (0, 1, 5, 4)),
+    ("polygon", "wall-xy", (0, 1, 3, 2)),
+    ("polygon", "wall-xz", (2, 3, 7, 6)),
+    ("polygon", "wall-yz", (0, 2, 6, 4)),
+    ("polygon", "interior", (0, 1, 5, 4)),
 )
 _REDUNDANT_ROWS = _BACK_WALLS_AND_BODY + (
-    ("edge", "edge-x", (0, 1)), ("edge", "edge-x", (2, 3)),
-    ("edge", "edge-x", (4, 5)), ("edge", "edge-x", (6, 7)),
-    ("edge", "edge-y", (0, 2)), ("edge", "edge-y", (1, 3)),
-    ("edge", "edge-y", (4, 6)), ("edge", "edge-y", (5, 7)),
-    ("edge", "edge-z", (0, 4)), ("edge", "edge-z", (1, 5)),
-    ("edge", "edge-z", (2, 6)), ("edge", "edge-z", (3, 7)),
-    ("wall", "wall-xy", (4, 5, 7, 6)),
-    ("wall", "wall-xz", (0, 1, 5, 4)),
-    ("wall", "wall-yz", (1, 3, 7, 5)),
-    ("corner", "corner", (0,)), ("corner", "corner", (1,)),
-    ("corner", "corner", (2,)), ("corner", "corner", (3,)),
-    ("corner", "corner", (4,)), ("corner", "corner", (5,)),
-    ("corner", "corner", (6,)), ("corner", "corner", (7,)),
+    ("line", "edge-x", (0, 1)), ("line", "edge-x", (2, 3)),
+    ("line", "edge-x", (4, 5)), ("line", "edge-x", (6, 7)),
+    ("line", "edge-y", (0, 2)), ("line", "edge-y", (1, 3)),
+    ("line", "edge-y", (4, 6)), ("line", "edge-y", (5, 7)),
+    ("line", "edge-z", (0, 4)), ("line", "edge-z", (1, 5)),
+    ("line", "edge-z", (2, 6)), ("line", "edge-z", (3, 7)),
+    ("polygon", "wall-xy", (4, 5, 7, 6)),
+    ("polygon", "wall-xz", (0, 1, 5, 4)),
+    ("polygon", "wall-yz", (1, 3, 7, 5)),
+    ("circle", "corner", (0,)), ("circle", "corner", (1,)),
+    ("circle", "corner", (2,)), ("circle", "corner", (3,)),
+    ("circle", "corner", (4,)), ("circle", "corner", (5,)),
+    ("circle", "corner", (6,)), ("circle", "corner", (7,)),
 )
 _REPRESENTATIVE_ROWS = _BACK_WALLS_AND_BODY + (
-    ("edge", "edge-x", (0, 1)),
-    ("edge", "edge-y", (0, 2)),
-    ("edge", "edge-z", (0, 4)),
-    ("corner", "corner", (0,)),
+    ("line", "edge-x", (0, 1)),
+    ("line", "edge-y", (0, 2)),
+    ("line", "edge-z", (0, 4)),
+    ("circle", "corner", (0,)),
 )
 
 
