@@ -16,7 +16,6 @@ from .coding import (
     LatticeMultivector,
     bell_basis,
     bell_carrier,
-    bits_to_key,
     comb,
     comb_bits,
     encode,

@@ -85,11 +85,6 @@ def comb_bits(word: int, dim: int) -> tuple[int, ...]:
     return tuple((word >> k) & 1 for k in range(dim))
 
 
-def bits_to_key(bits) -> str:
-    """Canonical text key "A1A2...An" for a bit string."""
-    return "".join(str(b) for b in _as_bits(bits))
-
-
 @lru_cache(maxsize=None)
 def _key_words(dim: int) -> dict[str, int]:
     """Canonical key -> blade word for every comb of Cl(dim), in key order.
@@ -138,16 +133,16 @@ def _fill(out: list, start: int, table: Mapping, dim: int) -> None:
         if word is None:
             word = comb(_as_bits(key, dim))
         if word in seen:
-            raise ValueError(f"duplicate comb key {bits_to_key(comb_bits(word, dim))!r}")
+            raise ValueError(f"duplicate comb key {format(word, f'0{dim}b')[::-1]!r}")
         seen.add(word)
         if not _is_real(value):
             raise ValueError(
-                f"coefficient for {bits_to_key(comb_bits(word, dim))!r} must be a real number")
+                f"coefficient for {format(word, f'0{dim}b')[::-1]!r} must be a real number")
         try:
             out[start + word] = float(value)
         except OverflowError:  # an integer beyond the float range
             raise ValueError(
-                f"coefficient for {bits_to_key(comb_bits(word, dim))!r} must be finite")
+                f"coefficient for {format(word, f'0{dim}b')[::-1]!r} must be finite")
 
 
 _BELL_CARRIER = Multivector.blade(0b000, 3, _INV_SQRT2) + Multivector.blade(0b110, 3, _INV_SQRT2)

@@ -2,8 +2,10 @@
 
 The goldens in tests/golden were written before the geometric product,
 the gate engine and the renderer were rewritten; any change in
-rounding, term order or formatting shows here.  The ``product associativity`` line of the
-verify golden is the most sensitive to product rounding.  Each product
+rounding, term order or formatting shows here.  The stdout goldens are
+``teleport`` with a positive, a negative and a subnormal payload,
+``color`` at a negative x, and ``verify``; the ``product associativity``
+line of the verify golden is the most sensitive to product rounding.  Each product
 golden is one .npy array of shape (3, 2**dim): the two operands and
 their product.  The circuit golden is an array of shape (2, 2**10): a
 seeded Cl(10) state and a seeded 20-gate circuit applied to it.  The
@@ -49,6 +51,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # argv of each CLI golden, by file name
 CLI_CASES = {
     "teleport_alpha0.6_beta0.8.txt": ["teleport", "--alpha", "0.6", "--beta", "0.8"],
+    "teleport_alpha-1e-3_beta0.5.txt": ["teleport", "--alpha", "-1e-3", "--beta", "0.5"],
+    "color_x-2.5e-1.txt": ["color", "--x", "-2.5e-1"],
     # subnormal payload: its printed digits show any reordered float operation
     "teleport_alpha-5e-324_beta1e-310.txt": ["teleport", "--alpha=-5e-324", "--beta=1e-310"],
     "verify_seed42_trials1000.txt": ["verify", "--seed", "42", "--trials", "1000"],
