@@ -1,28 +1,28 @@
 """Bitwise gates on comb coefficients and the teleportation network.
 
 Gates act directly on the coefficient array, mirroring their action on
-bit labels: X_k toggles bit k of every comb, so it swaps coefficients
-in pairs; Z_k negates the coefficients of combs with bit k set; H_k is
-(X_k + Z_k)/sqrt(2); the controlled forms X_k^l and Z_k^l restrict the
-action to combs whose control bit l is set.  These are coefficient
-permutations and sign flips, not geometric-product multiplications:
-left-multiplying by a generator would pick up blade-reordering signs
-and the action would no longer be bitwise.
+bit labels.  These are coefficient permutations and sign flips, not
+geometric-product multiplications: left-multiplying by a generator would
+pick up blade-reordering signs and the action would no longer be bitwise.
+One rule compiles every gate into one step ``(q, s)`` on 2**dim
+coefficients.  The gate's last letter picks its parts: X_k (X, CX) is
+the gather ``q`` of the words with bit k toggled, so it swaps
+coefficients in pairs; Z_k (Z, CZ) is the +-1 signs ``s`` that negate
+the words with bit k set; H_k is both, (X_k + Z_k)/sqrt(2).  A control
+bit l (X_k^l, Z_k^l) keeps each part only on the words with bit l set.
+A step runs as ``x[q]``, ``s * x`` or ``(x[q] + s * x) / sqrt(2)``.
 
 A gate is always a ``Gate``.  ``apply_gate``, ``apply_circuit`` and
 ``apply_circuit_lattice`` each make one call to ``_run(gates, dim, x)``,
-the one core: it compiles the gates into one step per gate and runs the
-steps on the coefficient axis of an array of shape (..., 2**dim) with
-float warnings off once for the whole run, returning a fresh array (a
-copy of ``x`` for no gates):
-X and CX are one gather ``x[q]``, Z and CZ one sign flip ``s * x``
-with signs exactly +-1, and H is ``(x[q] + s * x) / sqrt(2)``, the X
-part plus the Z part.  Compiling reads per-dimension tables built once
-on first use (the words, and per bit the toggled words, the bit-set
-mask and its +-1 signs: 178 KiB at dim 10 and 17.5 MiB at dim 16);
-nothing is cached per circuit.  A non-finite value made on the way
-carries through to the end, where the Multivector check, or for a
-lattice one check of its whole coefficient block, rejects it.
+the one core: it compiles the gates and runs the steps on the
+coefficient axis of an array of shape (..., 2**dim) with float warnings
+off once for the whole run, returning a fresh array (a copy of ``x``
+for no gates).  Compiling reads per-dimension tables built once on
+first use (the words, and per bit the toggled words, the bit-set mask
+and its +-1 signs: 178 KiB at dim 10 and 17.5 MiB at dim 16); nothing
+is cached per circuit.  A non-finite value made on the way carries
+through to the end, where the Multivector check, or for a lattice one
+check of its whole coefficient block, rejects it.
 
 ``teleport_network`` is the six-gate sequence that moves a payload
 sitting on bit 1 across the entangled carrier on bits 2 and 3, landing
@@ -133,34 +133,28 @@ def _bit_tables(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
 
 
 def _compile(gates, dim: int) -> tuple:
-    """One step ``(q, s)`` per Gate on 2**dim coefficients: a gather
-    index, a +-1 sign array, or both for H."""
+    """One step ``(q, s)`` per Gate on 2**dim coefficients, by the rule
+    of the module docstring; None stands for a part the gate lacks."""
     words, toggled, masks, signs = _bit_tables(dim)
     steps = []
     for gate in _gates_of(gates):
         if not isinstance(gate, Gate):
             raise TypeError("expected a Gate")
-        kind, b = gate.kind, _check_bit(dim, gate.target)
-        if kind in _CONTROLLED:
-            c = _check_bit(dim, gate.control, role="control")
-        if kind == "X":
-            steps.append((toggled[b], None))
-        elif kind == "CX":
-            steps.append((np.where(masks[c], toggled[b], words), None))
-        elif kind == "Z":
-            steps.append((None, signs[b]))
-        elif kind == "CZ":
-            steps.append((None, np.where(masks[c], signs[b], 1.0)))
-        else:
-            steps.append((toggled[b], signs[b]))
+        b, letter = _check_bit(dim, gate.target), gate.kind[-1]
+        q = toggled[b] if letter in "XH" else None
+        s = signs[b] if letter in "ZH" else None
+        if gate.control is not None:
+            on = masks[_check_bit(dim, gate.control, role="control")]
+            q = None if q is None else np.where(on, q, words)
+            s = None if s is None else np.where(on, s, 1.0)
+        steps.append((q, s))
     return tuple(steps)
 
 
 def _run(gates, dim: int, x: np.ndarray) -> np.ndarray:
     """The gates compiled for ``dim`` and run on the last axis of ``x``,
-    first gate first: a gather ``x[q]``, a sign flip ``s * x``, or H as
-    (X part + Z part) / sqrt(2).  Returns a fresh array, a copy of ``x``
-    when there are no gates; a non-finite value is left to the caller.
+    first gate first.  Returns a fresh array, a copy of ``x`` when there
+    are no gates; a non-finite value is left to the caller.
     """
     steps = _compile(gates, dim)
     with _quiet_float_errors():

@@ -15,16 +15,19 @@ not tautology.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .algebra import (_INV_SQRT2, Multivector, _as_float, _check_dim, _check_int, _check_real,
-                      _frozen, _quiet_float_errors, _real_vector)
+from .algebra import (Multivector, _as_float, _check_dim, _check_int, _check_real, _frozen,
+                      _quiet_float_errors, _real_vector)
 from .gates import Gate, _gates_of, teleport_network
 
+_ROOT_HALF = 1.0 / math.sqrt(2.0)  # the oracle's own 1/sqrt(2), not the fast engine's
 _MATRICES = {
     "X": ((0.0, 1.0), (1.0, 0.0)),
     "Z": ((1.0, 0.0), (0.0, -1.0)),
-    "H": ((_INV_SQRT2, _INV_SQRT2), (_INV_SQRT2, -_INV_SQRT2)),
+    "H": ((_ROOT_HALF, _ROOT_HALF), (_ROOT_HALF, -_ROOT_HALF)),
 }
 
 
@@ -129,8 +132,8 @@ def sv_teleport(alpha: float, beta: float) -> StateVector:
     payload on bit 3, amplitudes (alpha, beta) at indices 0 and 0b100.
     """
     amps = np.zeros(8)
-    amps[0b000] = amps[0b110] = _as_float(alpha, "alpha") * _INV_SQRT2
-    amps[0b001] = amps[0b111] = _as_float(beta, "beta") * _INV_SQRT2
+    amps[0b000] = amps[0b110] = _as_float(alpha, "alpha") * _ROOT_HALF
+    amps[0b001] = amps[0b111] = _as_float(beta, "beta") * _ROOT_HALF
     return sv_apply_circuit(teleport_network(), StateVector._of(amps, 3))
 
 

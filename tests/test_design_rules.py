@@ -47,6 +47,9 @@ RULES = {
                          EVERYWHERE, None, "warp = sine_warp(0.5)"),
     "lattice-lookups": (r"def (get|__contains__)\(", ("src/combcube/coding.py",), None,
                         "    def get(self, place):"),
+    "oracle-constant": (r"_INV_SQRT2", ("src/combcube/statevector.py",), None,
+                        "from .algebra import (_INV_SQRT2, Multivector, _as_float, _check_dim, "
+                        "_check_int, _check_real,"),
 }
 
 MOST_ARGS = {"grid_placement": 1, "sine_warp": 0}  # arguments each may take

@@ -611,6 +611,34 @@ def test_compile_gives_one_step_per_gate(dim):
     assert len(_compile(gates, dim)) == 5
 
 
+# kind -> its step (gather, signs) from the words w, the target bit t and
+# the control bit c (0 when uncontrolled), None for a part it lacks
+_STEP_BY_KIND = {
+    "X": lambda w, t, c: (w ^ t, None),
+    "CX": lambda w, t, c: (np.where(w & c != 0, w ^ t, w), None),
+    "Z": lambda w, t, c: (None, np.where(w & t != 0, -1.0, 1.0)),
+    "CZ": lambda w, t, c: (None, np.where((w & t != 0) & (w & c != 0), -1.0, 1.0)),
+    "H": lambda w, t, c: (w ^ t, np.where(w & t != 0, -1.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_compiled_steps_are_the_bit_arithmetic_of_each_gate(dim):
+    bits = range(1, dim + 1)
+    gates = [Gate(kind, t) for kind in ("X", "Z", "H") for t in bits]
+    gates += [Gate(kind, t, c) for kind in ("CX", "CZ") for t in bits for c in bits if c != t]
+    words = np.arange(1 << dim)
+    for gate in gates:
+        cbit = 0 if gate.control is None else 1 << (gate.control - 1)
+        want = _STEP_BY_KIND[gate.kind](words, 1 << (gate.target - 1), cbit)
+        (step,) = _compile((gate,), dim)
+        for got, expected in zip(step, want, strict=True):
+            assert (got is None) == (expected is None), gate.label()
+            if got is not None:
+                assert (got.dtype, got.shape, got.tobytes()) == \
+                    (expected.dtype, expected.shape, expected.tobytes()), gate.label()
+
+
 def test_teleport_runs_its_six_gates_one_step_each_bit_for_bit():
     network = teleport_network()
     for alpha in EDGE_PAYLOADS:
